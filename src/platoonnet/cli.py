@@ -25,7 +25,6 @@ import sys
 from importlib import metadata
 from pathlib import Path
 
-import jsonschema
 import numpy as np
 
 from .connectivity import (
@@ -45,6 +44,7 @@ from .estimation import (
     simulate_faulty,
 )
 from .formation import (
+    Disturbance,
     build_formation,
     hinf_closed_form,
     hinf_grid,
@@ -185,6 +185,8 @@ FORMATION_SCHEMA = {
 
 
 def _validate_schema(data, schema, what: str) -> None:
+    import jsonschema  # only scenario commands validate; keeps it out of start-up
+
     validator = jsonschema.Draft202012Validator(schema)
     errors = sorted(validator.iter_errors(data), key=lambda e: list(e.absolute_path))
     if errors:
@@ -251,18 +253,95 @@ def _write_manifest(outdir: Path, command: str, config: dict, seed, outputs: lis
         fh.write("\n")
 
 
-def _write_csv(path: Path, header: list[str], rows) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(header)
-        for row in rows:
-            writer.writerow([repr(v) if isinstance(v, float) else v for v in row])
-
-
 def _write_json(path: Path, payload) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(payload, fh, indent=2, sort_keys=True)
         fh.write("\n")
+
+
+# Traces are written a chunk of rows at a time, column by column, so that
+# only one chunk is ever held as Python objects and text.
+_CHUNK_ROWS = 4096
+
+
+def _cells(part) -> list:
+    return part.tolist() if isinstance(part, np.ndarray) else list(part)
+
+
+def _write_csv(path: Path, header: list[str], columns) -> None:
+    """CSV of equal-length columns (numpy arrays or sequences); the same
+    bytes as csv.writer fed one row at a time."""
+    rows = len(columns[0])
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(header)
+        for start in range(0, rows, _CHUNK_ROWS):
+            writer.writerows(zip(*(_cells(c[start : start + _CHUNK_ROWS]) for c in columns)))
+
+
+def _json_texts(part: np.ndarray) -> list[str]:
+    """How json.dump spells each entry of a 1-D array."""
+    if part.dtype.kind == "b":
+        return np.where(part, "true", "false").tolist()
+    if part.dtype.kind not in "iuf":
+        return [json.dumps(v) for v in part.tolist()]
+    texts = list(map(repr, part.tolist()))
+    for i in np.flatnonzero(~np.isfinite(part)):
+        texts[i] = json.dumps(part[i].item())  # NaN, Infinity, -Infinity
+    return texts
+
+
+def _json_items(part: np.ndarray, indent: str) -> list[str]:
+    """json.dump(indent=2) texts of the entries of a 1-D or 2-D array whose
+    list sits at `indent`."""
+    texts = _json_texts(part.ravel())
+    if part.ndim == 1:
+        return texts
+    width = part.shape[1]
+    if width == 0:
+        return ["[]"] * len(part)
+    inner = indent + "  "
+    sep = ",\n" + inner
+    return [
+        "[\n" + inner + sep.join(texts[i : i + width]) + "\n" + indent + "]"
+        for i in range(0, len(texts), width)
+    ]
+
+
+def _write_json_arrays(path: Path, fields: dict[str, np.ndarray]) -> None:
+    """JSON object of 1-D and 2-D arrays; the same bytes as
+    json.dump({name: array.tolist()}, indent=2, sort_keys=True)."""
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write("{")
+        for idx, name in enumerate(sorted(fields)):
+            arr = fields[name]
+            fh.write(("," if idx else "") + f"\n  {json.dumps(name)}: ")
+            if not len(arr):
+                fh.write("[]")
+                continue
+            fh.write("[\n    ")
+            for start in range(0, len(arr), _CHUNK_ROWS):
+                if start:
+                    fh.write(",\n    ")
+                fh.write(",\n    ".join(_json_items(arr[start : start + _CHUNK_ROWS], "    ")))
+            fh.write("\n  ]")
+        fh.write("\n}\n")
+
+
+def _write_json_records(path: Path, columns: dict[str, np.ndarray]) -> None:
+    """JSON list of one object per row of equal-length 1-D columns; the same
+    bytes as json.dump([{name: column[i]}, ...], indent=2, sort_keys=True)."""
+    names = sorted(columns)
+    record = "  {\n" + ",\n".join(f"    {json.dumps(name)}: %s" for name in names) + "\n  }"
+    rows = len(columns[names[0]])
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write("[\n" if rows else "[]")
+        for start in range(0, rows, _CHUNK_ROWS):
+            texts = [_json_texts(columns[name][start : start + _CHUNK_ROWS]) for name in names]
+            if start:
+                fh.write(",\n")
+            fh.write(",\n".join(map(record.__mod__, zip(*texts))))
+        fh.write("\n]\n" if rows else "\n")
 
 
 def _parse_platoon(text: str) -> PlatoonSpec:
@@ -335,8 +414,9 @@ def cmd_analyze(args) -> int:
             )
             if platoon.k > platoon.n // 2:
                 print(
-                    "warning: k > floor(n/2); the closed-form robustness is "
-                    "only the upper bound ceil(n/2) in this regime",
+                    "warning: k > floor(n/2); the closed-form robustness "
+                    "(capped at ceil(n/2)) and isoperimetric constant are only "
+                    "upper bounds in this regime",
                     file=sys.stderr,
                 )
         return EXIT_REFUSED
@@ -350,14 +430,13 @@ def cmd_analyze(args) -> int:
         _write_json(outdir / name, payload)
     else:
         name = f"analyze-{tag}.csv"
-        rows = []
+        keys, values = [], []
         for key, val in sorted(payload.items()):
-            if isinstance(val, dict):
-                for sub, sval in sorted(val.items()):
-                    rows.append((f"{key}.{sub}", sval if sval is not None else ""))
-            else:
-                rows.append((key, val if val is not None else ""))
-        _write_csv(outdir / name, ["key", "value"], rows)
+            entries = sorted(val.items()) if isinstance(val, dict) else [(None, val)]
+            for sub, sval in entries:
+                keys.append(key if sub is None else f"{key}.{sub}")
+                values.append(sval if sval is not None else "")
+        _write_csv(outdir / name, ["key", "value"], [keys, values])
     _write_manifest(outdir, "analyze", config, None, [name])
     print(f"wrote {outdir / name}")
     return EXIT_OK
@@ -412,15 +491,13 @@ def cmd_estimate(args) -> int:
     x0 = scenario_x0(seed, g.n, -5.0, 5.0)
     states = simulate_faulty(weights, x0, scenario)
     length = scenario.horizon
-    rows = []
+    errors = []
     final = None
     try:
         for used in range(1, length + 1):
             trace = observe(g, states, observer, used)
             result = recover_initial_state(trace, weights, f)
-            best = result.best
-            err = float(np.linalg.norm(best.x0 - x0))
-            rows.append((used - 1, err))
+            errors.append(float(np.linalg.norm(result.best.x0 - x0)))
             final = result
     except ModelMismatchError as exc:
         raise ValidationFailure(f"scenario is inconsistent with the fault model: {exc}")
@@ -428,15 +505,16 @@ def cmd_estimate(args) -> int:
     outdir = Path(args.out)
     outdir.mkdir(parents=True, exist_ok=True)
     tag = _config_hash(config)
+    step, error = np.arange(len(errors)), np.array(errors)
     if args.format == "csv":
         name = f"estimate-{tag}.csv"
-        _write_csv(outdir / name, ["step", "error"], rows)
+        _write_csv(outdir / name, ["step", "error"], [step, error])
     else:
         name = f"estimate-{tag}.json"
-        _write_json(outdir / name, [{"step": s, "error": e} for s, e in rows])
+        _write_json_records(outdir / name, {"step": step, "error": error})
     extra = {
         "unique": bool(final.unique),
-        "final_error": rows[-1][1],
+        "final_error": errors[-1],
         "consistent_candidates": [list(c.fault_set) for c in final.candidates],
     }
     _write_manifest(outdir, "estimate", config, seed, [name], extra)
@@ -504,26 +582,28 @@ def cmd_consensus(args) -> int:
     }
     x0 = scenario_x0(seed, g.n, 0.0, 10.0)
     trace = run_wmsr(g, x0, adversaries, f=f, T=T, tol=tol)
-    adv_set = set(trace.adversaries)
-    rows = [
-        (step, vehicle, float(trace.values[step, vehicle]), int(vehicle in adv_set))
-        for step in range(trace.values.shape[0])
-        for vehicle in range(g.n)
-    ]
+    steps = trace.values.shape[0]
+    is_adversary = np.zeros(g.n, dtype=bool)
+    is_adversary[list(trace.adversaries)] = True
+    step = np.repeat(np.arange(steps), g.n)
+    vehicle = np.tile(np.arange(g.n), steps)
+    value = trace.values.ravel()
+    adversary = np.tile(is_adversary, steps)
     outdir = Path(args.out)
     outdir.mkdir(parents=True, exist_ok=True)
     tag = _config_hash(config)
     if args.format == "csv":
         name = f"consensus-{tag}.csv"
-        _write_csv(outdir / name, ["step", "vehicle", "value", "is_adversary"], rows)
+        _write_csv(
+            outdir / name,
+            ["step", "vehicle", "value", "is_adversary"],
+            [step, vehicle, value, adversary.astype(np.int64)],
+        )
     else:
         name = f"consensus-{tag}.json"
-        _write_json(
+        _write_json_records(
             outdir / name,
-            [
-                {"step": s, "vehicle": v, "value": val, "is_adversary": bool(a)}
-                for s, v, val, a in rows
-            ],
+            {"step": step, "vehicle": vehicle, "value": value, "is_adversary": adversary},
         )
     extra = {
         "converged_at": trace.converged_at,
@@ -563,7 +643,8 @@ def _build_disturbance(system, cfg: dict):
     basis = np.zeros(n)
     basis[vehicle] = amplitude
     if kind == "step":
-        return (lambda t: basis), {"kind": "step", "vehicle": vehicle, "amplitude": amplitude}
+        resolved = {"kind": "step", "vehicle": vehicle, "amplitude": amplitude}
+        return Disturbance(constant=basis), resolved
     omega = cfg.get("omega", "peak")
     if omega == "peak":
         omega = modal_peak_frequency(system.lambda2, system.kp, system.ku)
@@ -572,14 +653,18 @@ def _build_disturbance(system, cfg: dict):
     if omega == 0.0:
         # static-gain branch: the peak sits at zero frequency; a zero-frequency
         # sinusoid is a constant input
-        return (lambda t: basis * math.cos(phase)), {
+        return Disturbance(constant=basis * math.cos(phase)), {
             "kind": "step", "vehicle": vehicle, "amplitude": amplitude * math.cos(phase),
         }
     resolved = {
         "kind": "sinusoid", "vehicle": vehicle, "amplitude": amplitude,
         "omega": omega, "phase": phase,
     }
-    return (lambda t: basis * math.sin(omega * t + phase)), resolved
+    # amplitude sin(omega t + phase), split into its sin and cos parts
+    disturbance = Disturbance(
+        sine=basis * math.cos(phase), cosine=basis * math.sin(phase), omega=omega
+    )
+    return disturbance, resolved
 
 
 def cmd_formation(args) -> int:
@@ -598,43 +683,40 @@ def cmd_formation(args) -> int:
         "disturbance": resolved,
         "format": args.format,
     }
-    try:
-        trace = simulate_formation(
-            system, disturbance=disturbance, T=T, h=h, record_every=record_every
-        )
-    except ValueError as exc:
-        raise ValidationFailure(str(exc))
+    trace = simulate_formation(
+        system, disturbance=disturbance, T=T, h=h, record_every=record_every
+    )
 
     outdir = Path(args.out)
     outdir.mkdir(parents=True, exist_ok=True)
     tag = _config_hash(config)
-    edge_names = [f"{i}-{j}" for i, j in system.graph.edges]
+    edge_names = np.array([f"{i}-{j}" for i, j in system.graph.edges])
+    n, m, samples = system.graph.n, system.graph.m, len(trace.t)
     if args.format == "csv":
         veh_name = f"formation-{tag}-vehicles.csv"
         edge_name = f"formation-{tag}-edges.csv"
-        veh_rows = [
-            (float(trace.t[s]), v, float(trace.positions[s, v]), float(trace.velocities[s, v]))
-            for s in range(len(trace.t))
-            for v in range(system.graph.n)
-        ]
-        _write_csv(outdir / veh_name, ["t", "vehicle", "p", "u"], veh_rows)
-        edge_rows = [
-            (float(trace.t[s]), edge_names[e], float(trace.span_errors[s, e]))
-            for s in range(len(trace.t))
-            for e in range(system.graph.m)
-        ]
-        _write_csv(outdir / edge_name, ["t", "edge", "spacing_error"], edge_rows)
+        _write_csv(
+            outdir / veh_name,
+            ["t", "vehicle", "p", "u"],
+            [np.repeat(trace.t, n), np.tile(np.arange(n), samples),
+             trace.positions.ravel(), trace.velocities.ravel()],
+        )
+        _write_csv(
+            outdir / edge_name,
+            ["t", "edge", "spacing_error"],
+            [np.repeat(trace.t, m), np.tile(edge_names, samples), trace.span_errors.ravel()],
+        )
         names = [veh_name, edge_name]
     else:
         name = f"formation-{tag}.json"
-        _write_json(
+        _write_json_arrays(
             outdir / name,
             {
-                "t": [float(v) for v in trace.t],
-                "positions": trace.positions.tolist(),
-                "velocities": trace.velocities.tolist(),
+                "t": trace.t,
+                "positions": trace.positions,
+                "velocities": trace.velocities,
                 "edges": edge_names,
-                "spacing_errors": trace.span_errors.tolist(),
+                "spacing_errors": trace.span_errors,
             },
         )
         names = [name]
@@ -682,26 +764,18 @@ def cmd_sweep(args) -> int:
     outdir = Path(args.out)
     outdir.mkdir(parents=True, exist_ok=True)
     tag = _config_hash(config)
+    header = ["n", "k", "kp", "ku", "lambda2", "lb", "ub", "hinf", "branch"]
     table = [
         (r.n, r.k, float(r.kp), float(r.ku), r.lambda2, r.lower, r.upper, r.hinf, r.branch)
         for r in rows
     ]
+    columns = [np.array(col) for col in zip(*table)]
     if args.format == "csv":
         name = f"sweep-{tag}.csv"
-        _write_csv(
-            outdir / name,
-            ["n", "k", "kp", "ku", "lambda2", "lb", "ub", "hinf", "branch"],
-            table,
-        )
+        _write_csv(outdir / name, header, columns)
     else:
         name = f"sweep-{tag}.json"
-        _write_json(
-            outdir / name,
-            [
-                dict(zip(["n", "k", "kp", "ku", "lambda2", "lb", "ub", "hinf", "branch"], row))
-                for row in table
-            ],
-        )
+        _write_json_records(outdir / name, dict(zip(header, columns)))
     checks = [
         {
             "n": r.n,

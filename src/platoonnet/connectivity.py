@@ -321,18 +321,23 @@ class ConnectivityReport:
 
 def knn_closed_forms(spec: PlatoonSpec) -> ConnectivityReport:
     """Analytic report for P(n, k): vertex connectivity = edge
-    connectivity = k, robustness = min(k, ceil(n/2)) and
-    iso = k(k+1) / (2 floor(n/2)), with lambda2 from the eigensolver plus its
-    analytic bracket.
+    connectivity = k, robustness = min(k, ceil(n/2)) and iso = the edges
+    leaving the first floor(n/2) vehicles per vehicle, which is
+    k(k+1) / (2 floor(n/2)) for k <= floor(n/2), with lambda2 from the
+    eigensolver plus its analytic bracket.
 
     The robustness and isoperimetric closed forms are only exhaustively
     verified for k <= floor(n/2); beyond that they carry an 'unverified'
-    note.  No n-vertex graph is more than ceil(n/2)-robust, so that cap is
-    an upper bound there, not an exact value: P(9, 5) is only 4-robust.
+    note and are upper bounds.  No n-vertex graph is more than
+    ceil(n/2)-robust, and P(9, 5) is only 4-robust; the front-half cut is one
+    candidate of the isoperimetric minimum (it gives the exact value on every
+    P(n, k) with n <= 14, but that is not proven beyond).
     """
     n, k = spec.n, spec.k
     nbar = n // 2
     note = None if k <= nbar else _UNVERIFIED
+    # vehicle i < nbar reaches i+1..min(n-1, i+k), of which those >= nbar cross
+    cut = sum(max(0, min(n - 1, i + k) - nbar + 1) for i in range(nbar))
     g = build_knn_platoon(spec)
     return ConnectivityReport(
         n=n,
@@ -341,7 +346,7 @@ def knn_closed_forms(spec: PlatoonSpec) -> ConnectivityReport:
         lambda2=algebraic_connectivity(g),
         robustness=min(k, (n + 1) // 2),
         robustness_note=note,
-        iso=Fraction(k * (k + 1), 2 * nbar),
+        iso=Fraction(cut, nbar),
         iso_note=note,
         lambda2_bounds=lambda2_bounds(spec),
     )

@@ -69,25 +69,26 @@ class Adversary:
 
 
 def wmsr_update(own: float, neighbor_values, f: int) -> float:
-    """One trimmed-average step.
+    """One trimmed-average step: the scalar reference for run_wmsr.
 
     neighbor_values is a sequence of (vehicle, value).  Up to f values
     strictly greater than own are removed (largest first) and up to f
-    strictly smaller (smallest first); ties among equal removable values drop
-    the higher vehicle index first.  Values equal to own are never removed.
-    The survivors and own value are averaged uniformly.
+    strictly smaller (smallest first); values equal to own are never removed.
+    Which of several tied values is removed cannot change the result.  The
+    kept values, greater ones largest first, then smaller ones smallest
+    first, then equal ones, are added left to right and averaged uniformly
+    with own.
     """
     if f < 0:
         raise ValueError("f must be >= 0")
-    greater = [(v, val) for v, val in neighbor_values if val > own]
-    smaller = [(v, val) for v, val in neighbor_values if val < own]
-    equal = [(v, val) for v, val in neighbor_values if val == own]
-    # remove the f largest; among equal values the higher index goes first
-    greater.sort(key=lambda t: (t[1], t[0]), reverse=True)
-    smaller.sort(key=lambda t: (-t[1], t[0]), reverse=True)
-    kept = [val for _, val in greater[f:]] + [val for _, val in smaller[f:]]
-    kept += [val for _, val in equal]
-    return (own + sum(kept)) / (1 + len(kept))
+    greater = sorted((val for _, val in neighbor_values if val > own), reverse=True)
+    smaller = sorted(val for _, val in neighbor_values if val < own)
+    equal = [val for _, val in neighbor_values if val == own]
+    kept = greater[f:] + smaller[f:] + equal
+    total = 0.0
+    for val in kept:  # not sum(): it is compensated on Python >= 3.12
+        total += val
+    return (own + total) / (1 + len(kept))
 
 
 def is_f_local(g: Graph, adversary_set, f: int) -> bool:
@@ -140,6 +141,8 @@ def run_wmsr(
     the adversary set is f-local).
     """
     n = g.n
+    if f < 0:
+        raise ValueError("f must be >= 0")
     x0 = np.asarray(x0, dtype=np.float64)
     if x0.shape != (n,):
         raise ValueError(f"x0 must have shape ({n},)")
@@ -163,29 +166,54 @@ def run_wmsr(
     values = np.zeros((T + 1, n))
     values[0] = x0
     for v, strat in strategy.items():
-        values[0, v] = strat.value(0)
+        values[:, v] = [strat.value(k) for k in range(T + 1)]
+
+    # One W-MSR step for every normal vehicle at once, in wmsr_update's
+    # arithmetic.  Row r of nbr lists the neighbours of normal[r], padded
+    # with index n, which reads NaN: like a NaN neighbour value in
+    # wmsr_update, it is neither greater, smaller nor equal, so never kept.
+    rows = np.array(normal)
+    nbr_lists = [neighbors(g, i) for i in normal]
+    width = max(len(nl) for nl in nbr_lists)
+    nbr = np.full((len(normal), width), n)
+    for r, nl in enumerate(nbr_lists):
+        nbr[r, : len(nl)] = nl
+    row_of = np.arange(len(normal))[:, None]
+    pos = np.arange(width)
+    ext = np.full(n + 1, np.nan)
+    # kept values in wmsr_update's order after a 0.0 column, so that the
+    # running sum along a row adds them as it does, from 0.0, left to right;
+    # a dropped value is a 0.0 there, which leaves the sum as it is
+    summands = np.zeros((len(normal), width + 1))
 
     violations: list[tuple[int, int]] = []
     converged_at: int | None = None
-    nbr_lists = [neighbors(g, i) for i in range(n)]
     for k in range(T + 1):
-        vals = values[k, list(normal)]
-        if converged_at is None and float(vals.max() - vals.min()) < tol:
+        vals = values[k, rows]
+        lo, hi = float(vals.min()), float(vals.max())
+        if converged_at is None and hi - lo < tol:
             converged_at = k
         if k == T:
             break
-        cur = values[k]
-        lo, hi = float(vals.min()), float(vals.max())
         slack = _HULL_SLACK * (1.0 + max(abs(lo), abs(hi)))
-        nxt = np.empty(n)
-        for v, strat in strategy.items():
-            nxt[v] = strat.value(k + 1)
-        for i in normal:
-            nv = [(j, cur[j]) for j in nbr_lists[i]]
-            nxt[i] = wmsr_update(cur[i], nv, f)
-            if not (lo - slack <= nxt[i] <= hi + slack):
-                violations.append((k + 1, i))
-        values[k + 1] = nxt
+        ext[:n] = values[k]
+        own = vals[:, None]
+        nv = ext[nbr]
+        n_g = (nv > own).sum(axis=1, keepdims=True)
+        n_s = (nv < own).sum(axis=1, keepdims=True)
+        n_all = n_g + n_s + (nv == own).sum(axis=1, keepdims=True)
+        # ascending, a row is [smaller | equal | greater | padding]; read it
+        # as wmsr_update orders it: greater descending, smaller, equal
+        ascending = np.sort(nv, axis=1)
+        order = np.where(pos < n_g, n_all - 1 - pos, pos - n_g)
+        kept = np.where(pos < n_g, pos >= f, (pos >= n_g + f) | (pos >= n_g + n_s))
+        kept &= pos < n_all
+        summands[:, 1:] = np.where(kept, ascending[row_of, order], 0.0)
+        total = np.cumsum(summands, axis=1)[:, -1]
+        new = (vals + total) / (1 + kept.sum(axis=1))
+        values[k + 1, rows] = new
+        outside = ~((lo - slack <= new) & (new <= hi + slack))
+        violations.extend((k + 1, int(i)) for i in rows[outside])
 
     return ConsensusTrace(
         values=values,

@@ -2,6 +2,12 @@
 
 from __future__ import annotations
 
+import math
+
+import numpy as np
+
+from platoonnet.consensus import wmsr_update
+from platoonnet.formation import FormationTrace
 from platoonnet.graph import Graph, neighbors
 
 
@@ -92,3 +98,75 @@ def brute_force_vertex_connectivity(g: Graph) -> int:
             if not connected_after(set(removed)):
                 return size
     return n - 1
+
+
+def rk4_formation(system, disturbance=None, T=10.0, h=1e-3, x0=None, record_every=1):
+    """Reference for simulate_formation: fixed-step RK4 on xdot = A x + b + F w(t),
+    with w(t) evaluated from the Disturbance parts at each stage.  Its error
+    is O(h^4); h must keep h * max|pole| inside the RK4 stability region."""
+    n = system.graph.n
+    x = system.equilibrium_state.copy() if x0 is None else np.array(x0, dtype=np.float64)
+    a_mat, b_aff, f_mat = system.a_mat, system.b_affine, system.f_mat
+
+    def w_at(t):
+        w = np.zeros(n)
+        if disturbance is not None:
+            omega = disturbance.omega
+            for part, scale in ((disturbance.constant, 1.0),
+                                (disturbance.sine, math.sin(omega * t)),
+                                (disturbance.cosine, math.cos(omega * t))):
+                if part is not None:
+                    w += np.asarray(part, dtype=np.float64) * scale
+        return w
+
+    def deriv(t, state):
+        return a_mat @ state + b_aff + f_mat @ w_at(t)
+
+    steps = int(round(T / h))
+    times, states = [0.0], [x.copy()]
+    t = 0.0
+    for s in range(1, steps + 1):
+        k1 = deriv(t, x)
+        k2 = deriv(t + h / 2, x + (h / 2) * k1)
+        k3 = deriv(t + h / 2, x + (h / 2) * k2)
+        k4 = deriv(t + h, x + h * k3)
+        x = x + (h / 6) * (k1 + 2 * k2 + 2 * k3 + k4)
+        t = s * h
+        if s % record_every == 0 or s == steps:
+            times.append(t)
+            states.append(x.copy())
+    arr = np.array(states)
+    pos, vel = arr[:, :n], arr[:, n:]
+    span_err = pos @ system.c_mat[:, :n].T - system.desired_spans
+    return FormationTrace(t=np.array(times), positions=pos, velocities=vel, span_errors=span_err)
+
+
+def wmsr_loop(g: Graph, x0, adversaries, f: int, T: int):
+    """Reference for run_wmsr: wmsr_update applied vehicle by vehicle.
+    Returns (values, safety violations, converged_at) for tol = 1e-9."""
+    n = g.n
+    strategy = {a.vehicle: a.strategy for a in adversaries}
+    normal = [v for v in range(n) if v not in strategy]
+    values = np.zeros((T + 1, n))
+    values[0] = x0
+    for v, strat in strategy.items():
+        values[0, v] = strat.value(0)
+    violations, converged_at = [], None
+    for k in range(T + 1):
+        vals = values[k, normal]
+        if converged_at is None and float(vals.max() - vals.min()) < 1e-9:
+            converged_at = k
+        if k == T:
+            break
+        cur = values[k]
+        lo, hi = float(vals.min()), float(vals.max())
+        slack = 1e-12 * (1.0 + max(abs(lo), abs(hi)))
+        nxt = np.empty(n)
+        for v, strat in strategy.items():
+            nxt[v] = strat.value(k + 1)
+        for i in normal:
+            nxt[i] = wmsr_update(cur[i], [(j, cur[j]) for j in neighbors(g, i)], f)
+            if not (lo - slack <= nxt[i] <= hi + slack):
+                violations.append((k + 1, i))
+        values[k + 1] = nxt
+    return values, violations, converged_at

@@ -31,6 +31,7 @@ from platoonnet.estimation import (
     simulate_faulty,
 )
 from platoonnet.formation import (
+    Disturbance,
     build_formation,
     hinf_closed_form,
     hinf_sweep,
@@ -362,7 +363,7 @@ def test_criterion_09_time_domain_ratio_bounded_by_closed_form():
 
     trace = simulate_formation(
         system,
-        disturbance=lambda t: w * math.cos(omega * t),
+        disturbance=Disturbance(cosine=w, omega=omega),
         T=30.0,
         h=1e-3,
         record_every=10,

@@ -1,10 +1,14 @@
 import csv
+import io
 import json
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from platoonnet import cli
 from platoonnet.cli import main
 from platoonnet.connectivity import connectivity_report
 from platoonnet.graph import PlatoonSpec, build_knn_platoon, save_graph
@@ -77,6 +81,7 @@ def test_analyze_refusal_caps_closed_form_robustness(tmp_path, capsys):
     assert code == 3
     err = capsys.readouterr().err
     assert "robustness=15," in err
+    assert "iso=12/1" in err
     assert "warning: k > floor(n/2)" in err
 
 
@@ -288,11 +293,12 @@ def test_formation_validation(tmp_path, capsys):
     }))
     assert main(["formation", "--config", str(bad)]) == 2
     assert "out of range" in capsys.readouterr().err
+    # the exact discretisation has no step-size limit; only h <= 0 is invalid
     bad.write_text(json.dumps({
-        "graph": {"platoon": [6, 2]}, "kp": 5.0, "ku": 10.0, "h": 1.0,
+        "graph": {"platoon": [6, 2]}, "kp": 5.0, "ku": 10.0, "h": 0.0,
     }))
     assert main(["formation", "--config", str(bad)]) == 2
-    assert "reduce h" in capsys.readouterr().err
+    assert "/h" in capsys.readouterr().err
 
 
 # ------------------------------------------------------------------- sweep
@@ -335,3 +341,45 @@ def test_help_and_unknown_flags():
     with pytest.raises(SystemExit) as exc:
         main(["analyze", "--bogus"])
     assert exc.value.code == 2
+
+
+# ----------------------------------------------------------------- writers
+
+TRICKY_FLOATS = [-0.0, 5e-324, 1e16, 0.1 + 0.2, float("nan"), float("inf"), float("-inf"), 2.5]
+
+
+@pytest.mark.parametrize("chunk_rows", [3, 4096])
+def test_column_writers_match_csv_and_json_dump(tmp_path, monkeypatch, chunk_rows):
+    monkeypatch.setattr(cli, "_CHUNK_ROWS", chunk_rows)
+    floats = np.array(TRICKY_FLOATS)
+    ints = np.arange(len(floats)) * 7 - 20
+    flags = ints % 3 == 0
+    names = np.array(["0-1", "a,b", 'say "hi"', "\u00e9", "", "x", "y y", "z"])
+
+    cli._write_csv(tmp_path / "got.csv", ["f", "i", "s"], [floats, ints, names])
+    want = io.StringIO(newline="")
+    writer = csv.writer(want, lineterminator="\n")
+    writer.writerow(["f", "i", "s"])
+    for row in zip(floats.tolist(), ints.tolist(), names.tolist()):
+        writer.writerow(row)
+    assert (tmp_path / "got.csv").read_text(encoding="utf-8") == want.getvalue()
+
+    columns = {"value": floats, "step": ints, "flag": flags, "edge": names}
+    cli._write_json_records(tmp_path / "records.json", columns)
+    records = [dict(zip(columns, row)) for row in zip(*(c.tolist() for c in columns.values()))]
+    assert (tmp_path / "records.json").read_text() == json.dumps(records, indent=2, sort_keys=True) + "\n"
+
+    fields = {"t": floats, "edges": names, "grid": np.stack([floats, floats[::-1]], axis=1),
+              "none": np.zeros((0,)), "hollow": np.zeros((4, 0))}
+    cli._write_json_arrays(tmp_path / "arrays.json", fields)
+    want_text = json.dumps({k: v.tolist() for k, v in fields.items()}, indent=2, sort_keys=True)
+    assert (tmp_path / "arrays.json").read_text() == want_text + "\n"
+    assert "NaN" in want_text and "Infinity" in want_text and "nan" not in want_text
+
+
+def test_cli_import_leaves_jsonschema_unloaded():
+    code = "import sys, platoonnet.cli; print('jsonschema' in sys.modules)"
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True,
+                         env={"PYTHONPATH": src, "PATH": ""})
+    assert out.stdout.strip() == "False"

@@ -187,6 +187,17 @@ def test_iso_against_brute_force():
         assert val == float(frac)
 
 
+def test_knn_iso_closed_form_against_exhaustive():
+    # the front-half cut is exact on every P(n, k) here, on both sides of
+    # k = floor(n/2), e.g. P(12, 11) -> 6 where k(k+1)/(2 floor(n/2)) gives 11
+    for n in range(4, 13):
+        for k in range(1, n):
+            spec = PlatoonSpec(n, k)
+            exact, _ = isoperimetric_constant(build_knn_platoon(spec))
+            assert knn_closed_forms(spec).iso == exact, (n, k)
+    assert knn_closed_forms(PlatoonSpec(12, 11)).iso == 6
+
+
 def test_iso_refuses_large_graphs():
     g = build_knn_platoon(PlatoonSpec(ISO_LIMIT + 1, 1))
     with pytest.raises(ExhaustiveLimitError, match="isoperimetric"):
@@ -250,5 +261,6 @@ def test_knn_closed_forms_and_caveat():
     # beyond k = floor(n/2) the closed forms are flagged as unverified
     rep = knn_closed_forms(PlatoonSpec(12, 7))
     assert rep.robustness == 6  # capped at ceil(n/2)
+    assert rep.iso == Fraction(13, 3)  # front-half cut: 26 edges over 6 vehicles
     assert rep.robustness_note == "closed-form, not verified exhaustively"
     assert rep.iso_note == rep.robustness_note

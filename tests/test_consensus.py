@@ -1,4 +1,6 @@
 import math
+import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -13,7 +15,12 @@ from platoonnet.consensus import (
     run_wmsr,
     wmsr_update,
 )
+from platoonnet.cli import load_consensus_scenario, scenario_x0
 from platoonnet.graph import PlatoonSpec, build_knn_platoon
+
+from helpers import wmsr_loop
+
+SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 
 
 def test_wmsr_update_worked_examples():
@@ -175,3 +182,34 @@ def test_resilience_property_suite(n, k, f, n_adv):
             assert trace.spread(500) < 1e-9
             assert normal_x0.min() - 1e-9 <= final.min()
             assert final.max() <= normal_x0.max() + 1e-9
+
+
+def _vectorised_runs():
+    """(graph, x0, adversaries, f, T) for the equivalence check: both
+    consensus fixtures, the property-suite strategies, and a set that is not
+    f-local.  Strategies are pure functions of the step, so both runs can
+    share them."""
+    for name in ("consensus-ramp-tolerated", "consensus-overwhelmed"):
+        g, seed, adversaries, f, T, _ = load_consensus_scenario(str(SCENARIOS / f"{name}.json"))
+        yield g, scenario_x0(seed, g.n, 0.0, 10.0), adversaries, f, T
+    for n, k, f, n_adv in [(10, 3, 1, 1), (12, 5, 2, 2)]:
+        g = build_knn_platoon(PlatoonSpec(n, k))
+        rng = np.random.default_rng([n, k, f])
+        for make_strategy in STRATEGIES:
+            x0 = rng.uniform(0, 10, n)
+            vehicles = rng.choice(n, size=n_adv, replace=False)
+            yield g, x0, [Adversary(int(v), make_strategy()) for v in vehicles], f, 200
+    g = build_knn_platoon(PlatoonSpec(12, 3))
+    x0 = np.round(np.random.default_rng(4).uniform(0, 10, 12))  # integer values: many ties
+    yield g, x0, [Adversary(5, Sinusoid(8.0, 0.3)), Adversary(6, Constant(-2.0))], 1, 200
+
+
+def test_run_wmsr_is_bitwise_equal_to_the_scalar_reference():
+    for g, x0, adversaries, f, T in _vectorised_runs():
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            trace = run_wmsr(g, x0, adversaries, f=f, T=T)
+        values, violations, converged_at = wmsr_loop(g, x0, adversaries, f, T)
+        assert trace.values.tobytes() == values.tobytes()
+        assert list(trace.safety_violations) == violations
+        assert trace.converged_at == converged_at

@@ -6,6 +6,7 @@ import pytest
 from platoonnet.formation import (
     BRANCH_STATIC,
     BRANCH_UNDERDAMPED,
+    Disturbance,
     build_formation,
     default_sweep_grid,
     hinf_closed_form,
@@ -19,6 +20,8 @@ from platoonnet.formation import (
     sqrt_laplacian_output,
 )
 from platoonnet.graph import PlatoonSpec, build_knn_platoon, incidence, laplacian
+
+from helpers import rk4_formation
 
 
 def make_system(n, k, kp=5.0, ku=10.0, d0=10.0):
@@ -163,12 +166,73 @@ def test_perturbed_start_settles_back():
 
 def test_simulation_rejects_unstable_step():
     sys_ = make_system(10, 4)
-    with pytest.raises(ValueError, match="reduce h"):
-        simulate_formation(sys_, T=1.0, h=1.0)
+    # The exact discretisation has no step-size limit: h = 1.0, far outside
+    # any explicit integrator's stability region (h * max|pole| ~ 92), lands
+    # on the fine-grid samples at the shared times.
+    push = Disturbance(constant=np.eye(10)[2])
+    coarse = simulate_formation(sys_, disturbance=push, T=3.0, h=1.0)
+    fine = simulate_formation(sys_, disturbance=push, T=3.0, h=1e-2, record_every=100)
+    assert np.array_equal(coarse.t, fine.t)
+    assert np.max(np.abs(coarse.span_errors[-1])) > 1e-3
+    assert np.max(np.abs(coarse.positions - fine.positions)) < 1e-9
     with pytest.raises(ValueError):
         simulate_formation(sys_, T=-1.0)
     with pytest.raises(ValueError, match="shape"):
         simulate_formation(sys_, x0=np.zeros(3))
+
+
+def _disturbed_start(sys_):
+    x0 = sys_.equilibrium_state.copy()
+    x0[1] += 2.0
+    x0[sys_.graph.n + 3] -= 1.0
+    return x0
+
+
+@pytest.mark.parametrize("case", ["none", "step", "peak-sinusoid", "criterion-9-cosine"])
+def test_exact_stepping_matches_rk4_reference(case):
+    # the four inputs the CLI and criterion 9 produce, against fine-step RK4
+    n, k, kp, ku = (10, 1, 5.0, 2.0) if case == "peak-sinusoid" else (10, 2, 5.0, 10.0)
+    sys_ = make_system(n, k, kp=kp, ku=ku)
+    basis = np.zeros(n)
+    basis[3] = 1.5
+    x0 = None
+    if case == "none":
+        disturbance, x0 = None, _disturbed_start(sys_)
+    elif case == "step":
+        disturbance = Disturbance(constant=basis)
+    elif case == "peak-sinusoid":
+        omega = modal_peak_frequency(sys_.lambda2, kp, ku)
+        assert omega > 0
+        phase = 0.4
+        disturbance = Disturbance(sine=basis * math.cos(phase), cosine=basis * math.sin(phase),
+                                  omega=omega)
+    else:
+        omega = modal_peak_frequency(sys_.lambda2, kp, ku)
+        disturbance = Disturbance(cosine=basis, omega=omega)
+    got = simulate_formation(sys_, disturbance=disturbance, T=4.0, h=1e-3, x0=x0, record_every=50)
+    # RK4 at h = 1e-3 is itself off by ~1e-8 after the kick; half the step is 16x closer
+    want = rk4_formation(sys_, disturbance=disturbance, T=4.0, h=5e-4, x0=x0, record_every=100)
+    assert np.max(np.abs(got.t - want.t)) < 1e-12
+    for a, b in [(got.positions, want.positions), (got.velocities, want.velocities),
+                 (got.span_errors, want.span_errors)]:
+        assert np.max(np.abs(a - b)) <= 1e-8, case
+
+
+def test_sampling_does_not_change_the_result():
+    sys_ = make_system(8, 2)
+    basis = np.zeros(8)
+    basis[0] = 1.0
+    disturbance = Disturbance(constant=0.5 * basis, sine=basis, omega=0.7)
+    x0 = _disturbed_start(sys_)
+    fine = simulate_formation(sys_, disturbance=disturbance, T=5.0, h=1e-3, x0=x0,
+                              record_every=100)
+    coarse = simulate_formation(sys_, disturbance=disturbance, T=5.0, h=0.1, x0=x0,
+                                record_every=1)
+    assert len(fine.t) == len(coarse.t) == 51
+    assert np.max(np.abs(fine.t - coarse.t)) < 1e-12
+    for a, b in [(fine.positions, coarse.positions), (fine.velocities, coarse.velocities),
+                 (fine.span_errors, coarse.span_errors)]:
+        assert np.max(np.abs(a - b)) <= 1e-9
 
 
 def test_recording_stride():

@@ -16,7 +16,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .graph import Graph, PlatoonSpec, build_knn_platoon, degrees, laplacian, neighbors
+from .graph import Graph, PlatoonSpec, build_knn_platoon, components, degrees, laplacian, neighbors
 
 ROBUSTNESS_LIMIT = 14
 ISO_LIMIT = 22
@@ -27,36 +27,29 @@ class ExhaustiveLimitError(RuntimeError):
 
 
 def is_connected(g: Graph) -> bool:
-    if g.n == 1:
-        return True
-    nb = g.neighbor_bitmasks
-    seen = 1
-    frontier = [0]
-    while frontier:
-        v = frontier.pop()
-        new = nb[v] & ~seen
-        while new:
-            w = (new & -new).bit_length() - 1
-            new &= new - 1
-            seen |= 1 << w
-            frontier.append(w)
-    return seen == (1 << g.n) - 1
+    return len(components(g)) == 1
 
 
 def is_complete(g: Graph) -> bool:
     return g.m == g.n * (g.n - 1) // 2
 
 
-def _max_flow(num_nodes: int, arcs: list[tuple[int, int, int]], s: int, t: int) -> int:
-    """Integer max-flow by shortest augmenting paths (BFS / Edmonds-Karp).
-
-    arcs is a list of (u, v, capacity); reverse residual arcs are created
-    automatically.  Deterministic: adjacency follows arc insertion order.
-    """
+def _residual(num_nodes: int, arcs: list[tuple[int, int, int]]) -> list[dict[int, int]]:
+    """Residual capacities of a flow network: arcs is a list of (u, v,
+    capacity); reverse arcs are created with capacity 0.  Built once per
+    network and copied by every max-flow over it."""
     cap: list[dict[int, int]] = [dict() for _ in range(num_nodes)]
     for u, v, c in arcs:
         cap[u][v] = cap[u].get(v, 0) + c
         cap[v].setdefault(u, 0)
+    return cap
+
+
+def _max_flow(residual: list[dict[int, int]], s: int, t: int) -> int:
+    """Integer max-flow by shortest augmenting paths (BFS / Edmonds-Karp)
+    on a copy of the residual network.  Deterministic: adjacency follows
+    arc insertion order."""
+    cap = [dict(d) for d in residual]
     flow = 0
     while True:
         parent: dict[int, int] = {s: -1}
@@ -92,9 +85,11 @@ def vertex_connectivity(g: Graph) -> int:
     """Vertex connectivity by Menger's theorem over vertex-split max-flows.
 
     Each vertex v becomes v_in -> v_out with capacity 1; every edge {x, y}
-    contributes infinite-capacity arcs x_out -> y_in and y_out -> x_in.  The
-    minimum is taken over s in {u} ∪ N(u) for a fixed minimum-degree u and all
-    t non-adjacent to s.  Complete graphs return n-1, disconnected graphs 0.
+    contributes infinite-capacity arcs x_out -> y_in and y_out -> x_in.  For
+    a minimum-degree vertex u the minimum is taken over the pairs (u, t),
+    t not in N[u], and (x, y), x, y non-adjacent in N(u) (Esfahanian &
+    Hakimi, Networks 1984).  Complete graphs return n-1, disconnected
+    graphs 0.
     """
     n = g.n
     if n == 1:
@@ -105,23 +100,22 @@ def vertex_connectivity(g: Graph) -> int:
         return n - 1
 
     inf = n  # any s-t vertex cut has size < n
+    arcs = [(2 * v, 2 * v + 1, 1) for v in range(n)]
+    for i, j in g.edges:
+        arcs.append((2 * i + 1, 2 * j, inf))
+        arcs.append((2 * j + 1, 2 * i, inf))
+    split = _residual(2 * n, arcs)
 
-    def split_flow(s: int, t: int) -> int:
-        arcs = [(2 * v, 2 * v + 1, 1) for v in range(n)]
-        for i, j in g.edges:
-            arcs.append((2 * i + 1, 2 * j, inf))
-            arcs.append((2 * j + 1, 2 * i, inf))
-        return _max_flow(2 * n, arcs, 2 * s + 1, 2 * t)
-
-    degs = degrees(g)
-    u = int(np.argmin(degs))
-    best = n - 1
-    for s in [u] + neighbors(g, u):
-        for t in range(n):
-            if t != s and not g.has_edge(s, t):
-                best = min(best, split_flow(s, t))
-                if best == 1:
-                    return 1
+    u = int(np.argmin(degrees(g)))
+    near = neighbors(g, u)
+    closed = set(near) | {u}
+    pairs = [(u, t) for t in range(n) if t not in closed]
+    pairs += [(x, y) for a, x in enumerate(near) for y in near[a + 1:] if not g.has_edge(x, y)]
+    best = len(near)  # the degree of u bounds the connectivity
+    for s, t in pairs:
+        best = min(best, _max_flow(split, 2 * s + 1, 2 * t))
+        if best == 1:
+            return 1
     return best
 
 
@@ -134,9 +128,10 @@ def edge_connectivity(g: Graph) -> int:
     for i, j in g.edges:
         arcs.append((i, j, 1))
         arcs.append((j, i, 1))
+    network = _residual(n, arcs)
     best = None
     for t in range(1, n):
-        f = _max_flow(n, arcs, 0, t)
+        f = _max_flow(network, 0, t)
         best = f if best is None or f < best else best
         if best == 0:
             return 0
@@ -224,8 +219,10 @@ def isoperimetric_constant(g: Graph, limit: int = ISO_LIMIT) -> tuple[Fraction, 
     """Exhaustive isoperimetric constant min_{0<|S|<=n/2} |boundary(S)| / |S|.
 
     Returns the exact rational together with its float value.  Refuses
-    n > limit.  The search is vectorized over all 2^n subsets: for subset
-    bitmask S, |boundary(S)| = sum_v deg(v)·[v in S] - 2·|E(S)|.
+    n > limit.  The search is vectorized over all 2^n subsets, whose
+    boundary sizes are filled in by doubling: adding vertex v to a subset S
+    of the vertices below v adds deg(v) edges and removes the 2 |N(v) ∩ S|
+    edge ends that now lie inside.
     """
     n = g.n
     if n > limit:
@@ -237,16 +234,14 @@ def isoperimetric_constant(g: Graph, limit: int = ISO_LIMIT) -> tuple[Fraction, 
     total = 1 << n
     idx = np.arange(total, dtype=np.uint32)
     size = np.bitwise_count(idx).astype(np.int32)
-    bits = [((idx >> np.uint32(v)) & np.uint32(1)).astype(np.uint8) for v in range(n)]
+    nb = g.neighbor_bitmasks
     degs = degrees(g)
+    # boundary[S + 2^v] = boundary[S] + deg(v) - 2 |N(v) & S| for S < 2^v
     boundary = np.zeros(total, dtype=np.int32)
     for v in range(n):
-        if degs[v]:
-            boundary += np.int32(degs[v]) * bits[v]
-    for i, j in g.edges:
-        both = (bits[i] & bits[j]).astype(np.int32)
-        boundary -= both
-        boundary -= both
+        half = 1 << v
+        inner = np.bitwise_count(idx[:half] & np.uint32(nb[v] & (half - 1))).astype(np.int32)
+        boundary[half : 2 * half] = boundary[:half] + np.int32(degs[v]) - 2 * inner
 
     valid = (size > 0) & (2 * size <= n)
     pos = np.flatnonzero(valid)

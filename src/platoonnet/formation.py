@@ -13,7 +13,8 @@ with Delta_ij = d0 (j - i) encoding the desired spacing.  Stacked:
 where L is the graph Laplacian and B the oriented incidence matrix, so y
 collects the per-edge position differences.  The worst-case L2 gain from w
 to spacing error has a closed form in lambda2 = lambda_2(L); an independent
-frequency sweep of sigma_max(C (jwI - A)^{-1} F) cross-checks it.
+Hamiltonian level-set computation of sup_w sigma_max(C (jwI - A)^{-1} F)
+cross-checks it.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .graph import Graph, incidence, laplacian
+from .graph import Graph, components, incidence, laplacian
 
 BRANCH_UNDERDAMPED = "underdamped-peak"
 BRANCH_STATIC = "static-gain"
@@ -158,74 +159,99 @@ def modal_gain(lam: float, kp: float, ku: float, omega: float) -> float:
     return math.sqrt(lam) / abs(den)
 
 
-def _sigma_max(system: FormationSystem, omega: float, output: np.ndarray) -> float:
-    n2 = system.a_mat.shape[0]
-    m = (1j * omega) * np.eye(n2) - system.a_mat
-    x = np.linalg.solve(m, system.f_mat)
-    return float(np.linalg.svd(output @ x, compute_uv=False)[0])
-
-
-def default_sweep_grid(system: FormationSystem, n_log: int = 2000, n_window: int = 50) -> np.ndarray:
-    """Log-spaced grid over [1e-3, 1e3] rad/s plus a linear window of
-    n_window points within +-20% of each mode's analytic peak frequency."""
-    parts = [np.geomspace(1e-3, 1e3, n_log)]
-    for lam in system.lap_eigenvalues:
-        wbar = modal_peak_frequency(float(lam), system.kp, system.ku)
-        if wbar > 0:
-            parts.append(np.linspace(0.8 * wbar, 1.2 * wbar, n_window))
-    grid = np.unique(np.concatenate(parts))
-    return grid[grid > 0]
-
-
 @dataclass(frozen=True)
 class SweepResult:
     value: float
     frequency: float
-    grid_points: int
+    grid_points: int  # sigma_max evaluations
 
 
-def hinf_sweep(
-    system: FormationSystem,
-    grid: np.ndarray | None = None,
-    output: np.ndarray | None = None,
-    refine: bool = True,
-) -> SweepResult:
-    """Numerical worst-case gain: max over the grid of
-    sigma_max(C (jwI - A)^{-1} F), plus a golden-section polish around the
-    grid argmax.  Works directly on the state-space matrices, independently
-    of the modal closed form.  The w -> 0 end is covered by the 1e-3 rad/s
-    grid floor (A is singular at exactly w = 0)."""
-    if grid is None:
-        grid = default_sweep_grid(system)
+HINF_TOL = 1e-12  # relative gap eps of the level test (1 + 2 eps) gamma_lb
+_AXIS_TOL = 1e-6  # |Re lambda| <= _AXIS_TOL ||H||: treated as on the imaginary axis
+_HINF_MAX_ITER = 50
+
+
+def _translation_free_basis(g: Graph) -> np.ndarray:
+    """Orthonormal basis (n x (n - c)) of the complement of the indicator
+    vectors of g's c connected components, from a complete QR factorisation."""
+    comps = components(g)
+    ind = np.zeros((g.n, len(comps)))
+    for col, verts in enumerate(comps):
+        ind[verts, col] = 1.0
+    q, _ = np.linalg.qr(ind, mode="complete")
+    return q[:, len(comps):]
+
+
+def hinf_sweep(system: FormationSystem, output: np.ndarray | None = None) -> SweepResult:
+    """Numerical worst-case gain sup_w sigma_max(C (jwI - A)^{-1} F) by the
+    level-set iteration of Bruinsma & Steinbuch (Syst. Control Lett. 1990).
+
+    Works on the state-space matrices with each component's translation
+    mode projected out: with Q an orthonormal basis of the complement of the
+    component indicators, A_r = [[0, I], [-kp Q'LQ, -ku Q'LQ]],
+    B_r = [0; Q'] and C_r = output blockdiag(Q, Q).  The translation modes
+    are unobservable (the output must vanish on them, as both the incidence
+    and the L^{1/2} output do), so the transfer function is unchanged, and
+    A_r is Hurwitz for every graph.  L is never diagonalised, so the result
+    stays independent of the modal closed form.
+
+    gamma_lb starts at the gain at w = 0 and at |Im p| for the pole p with
+    the largest |Im p / Re p|.  While the Hamiltonian
+    H(g) = [[A_r, B_r B_r'/g], [-C_r'C_r/g, -A_r']] at g = (1 + 2 HINF_TOL)
+    gamma_lb has imaginary eigenvalues jw (exactly the frequencies where g
+    is a singular value), gamma_lb is raised to the largest sigma_max at
+    the midpoints between them.  It stops when none lies on the axis, or
+    when no midpoint rises above the level (eigenvalues that only touch the
+    axis within rounding), and raises RuntimeError if neither happens
+    within the iteration cap.  `grid_points` counts sigma_max evaluations.
+    """
+    n = system.graph.n
     out = system.c_mat if output is None else output
-    vals = np.array([_sigma_max(system, w, out) for w in grid])
-    best = int(np.argmax(vals))
-    value, freq = float(vals[best]), float(grid[best])
-    if refine and len(grid) >= 2:
-        lo = grid[best - 1] if best > 0 else grid[0]
-        hi = grid[best + 1] if best + 1 < len(grid) else grid[-1]
-        inv_phi = (math.sqrt(5.0) - 1.0) / 2.0
-        a, b = float(lo), float(hi)
-        c = b - inv_phi * (b - a)
-        d = a + inv_phi * (b - a)
-        fc = _sigma_max(system, c, out)
-        fd = _sigma_max(system, d, out)
-        for _ in range(80):
-            if b - a <= 1e-13 * max(1.0, b):
-                break
-            if fc > fd:
-                b, d, fd = d, c, fc
-                c = b - inv_phi * (b - a)
-                fc = _sigma_max(system, c, out)
-            else:
-                a, c, fc = c, d, fd
-                d = a + inv_phi * (b - a)
-                fd = _sigma_max(system, d, out)
-        w_star = c if fc > fd else d
-        v_star = max(fc, fd)
-        if v_star > value:
-            value, freq = float(v_star), float(w_star)
-    return SweepResult(value=value, frequency=freq, grid_points=len(grid))
+    q = _translation_free_basis(system.graph)
+    r = q.shape[1]
+    c = np.hstack([out[:, :n] @ q, out[:, n:] @ q])
+    if not c.any():  # no edges, or an output that sees nothing
+        return SweepResult(value=0.0, frequency=0.0, grid_points=0)
+    lap_r = q.T @ system.lap @ q
+    a = np.zeros((2 * r, 2 * r))
+    a[:r, r:] = np.eye(r)
+    a[r:, :r] = -system.kp * lap_r
+    a[r:, r:] = -system.ku * lap_r
+    b = np.zeros((2 * r, n))
+    b[r:] = q.T
+
+    evaluations = 0
+
+    def sigma_max(w: float) -> float:
+        nonlocal evaluations
+        evaluations += 1
+        x = np.linalg.solve((1j * w) * np.eye(2 * r) - a, b)
+        return float(np.linalg.svd(c @ x, compute_uv=False)[0])
+
+    poles = np.linalg.eigvals(a)
+    peak = abs(float(poles[np.argmax(np.abs(poles.imag / poles.real))].imag))
+    best, freq = sigma_max(0.0), 0.0
+    if peak > 0:
+        value = sigma_max(peak)
+        if value > best:
+            best, freq = value, peak
+    bb, cc = b @ b.T, c.T @ c
+    for _ in range(_HINF_MAX_ITER):
+        level = (1.0 + 2.0 * HINF_TOL) * best
+        ham = np.block([[a, bb / level], [-cc / level, -a.T]])
+        eig = np.linalg.eigvals(ham)
+        axis = np.sort(eig.imag[np.abs(eig.real) <= _AXIS_TOL * np.linalg.norm(ham, 1)])
+        if axis.size == 0:
+            return SweepResult(value=best, frequency=freq, grid_points=evaluations)
+        for w in np.unique(np.abs(axis[:-1] + axis[1:]) / 2.0):
+            value = sigma_max(float(w))
+            if value > best:
+                best, freq = value, float(w)
+        if best <= level:
+            return SweepResult(value=best, frequency=freq, grid_points=evaluations)
+    raise RuntimeError(
+        f"H-infinity level-set iteration did not converge in {_HINF_MAX_ITER} steps"
+    )
 
 
 def sqrt_laplacian_output(system: FormationSystem) -> np.ndarray:
@@ -252,10 +278,10 @@ class HinfReport:
     per_mode: tuple[tuple[float, float], ...]  # (eigenvalue, modal gain)
 
 
-def hinf_report(system: FormationSystem, grid: np.ndarray | None = None) -> HinfReport:
+def hinf_report(system: FormationSystem) -> HinfReport:
     lam2 = system.lambda2
     value, branch = hinf_closed_form(lam2, system.kp, system.ku)
-    sweep = hinf_sweep(system, grid=grid)
+    sweep = hinf_sweep(system)
     per_mode = tuple(
         (float(lam), modal_hinf(float(lam), system.kp, system.ku))
         for lam in system.lap_eigenvalues

@@ -16,29 +16,46 @@ import numpy as np
 
 
 class GraphFormatError(ValueError):
-    """A graph file or edge list violates the format contract."""
+    """A graph file or edge list violates the format contract.
+
+    `edge_index` is the position of the offending edge in the input list
+    and `pair` its two vertex ids as given; each is None when not known.
+    """
+
+    def __init__(self, message: str, edge_index: int | None = None,
+                 pair: tuple[int, int] | None = None):
+        super().__init__(message)
+        self.edge_index = edge_index
+        self.pair = pair
+
+
+def _is_int(v) -> bool:
+    """Python or numpy integer; bool is not a vertex id, although it is an int."""
+    return isinstance(v, (int, np.integer)) and not isinstance(v, bool)
 
 
 def _canonical_edges(n: int, edges) -> tuple[tuple[int, int], ...]:
     """Normalize an edge iterable to sorted (i, j) with i < j, checking
-    self-loops, range, and duplicates (in either orientation)."""
+    integer pairs, self-loops, range, and duplicates (in either orientation).
+    The only edge validator: errors carry the index of the failing edge."""
     seen = set()
-    out = []
-    for e in edges:
-        pair = tuple(e)
-        if len(pair) != 2 or not all(isinstance(v, (int, np.integer)) for v in pair):
-            raise GraphFormatError(f"edge {e!r} is not a pair of integers")
-        a, b = int(pair[0]), int(pair[1])
+    for idx, e in enumerate(edges):
+        try:
+            a, b = e
+        except (TypeError, ValueError):
+            a = b = None
+        if not (_is_int(a) and _is_int(b)):
+            raise GraphFormatError(f"edge #{idx} is not a pair of integers: {e!r}", idx)
+        a, b = int(a), int(b)
         if a == b:
-            raise GraphFormatError(f"self-loop [{a}, {b}] is not allowed")
+            raise GraphFormatError(f"self-loop [{a}, {b}]", idx, (a, b))
         if not (0 <= a < n and 0 <= b < n):
-            raise GraphFormatError(f"edge [{a}, {b}] out of range for n={n}")
-        i, j = (a, b) if a < b else (b, a)
-        if (i, j) in seen:
-            raise GraphFormatError(f"duplicate edge [{a}, {b}]")
-        seen.add((i, j))
-        out.append((i, j))
-    return tuple(sorted(out))
+            raise GraphFormatError(f"edge [{a}, {b}] out of range for n={n}", idx, (a, b))
+        pair = (a, b) if a < b else (b, a)
+        if pair in seen:
+            raise GraphFormatError(f"duplicate edge [{a}, {b}]", idx, (a, b))
+        seen.add(pair)
+    return tuple(sorted(seen))
 
 
 @dataclass(frozen=True)
@@ -49,7 +66,7 @@ class Graph:
     edges: tuple[tuple[int, int], ...]
 
     def __post_init__(self):
-        if not isinstance(self.n, (int, np.integer)) or self.n < 1:
+        if not _is_int(self.n) or self.n < 1:
             raise GraphFormatError(f"vertex count must be a positive integer, got {self.n!r}")
         object.__setattr__(self, "n", int(self.n))
         canon = _canonical_edges(self.n, self.edges)
@@ -57,7 +74,7 @@ class Graph:
 
     @classmethod
     def from_edges(cls, n: int, edges) -> "Graph":
-        return cls(n, tuple(tuple(e) for e in edges))
+        return cls(n, tuple(edges))
 
     @property
     def m(self) -> int:
@@ -158,6 +175,26 @@ def neighbors(g: Graph, i: int) -> list[int]:
     return list(g._neighbor_lists[i])
 
 
+def components(g: Graph) -> list[list[int]]:
+    """Connected components as sorted vertex lists, by smallest vertex."""
+    nb = g.neighbor_bitmasks
+    unseen = (1 << g.n) - 1
+    comps = []
+    while unseen:
+        comp = frontier = unseen & -unseen
+        members = []
+        while frontier:
+            v = (frontier & -frontier).bit_length() - 1
+            frontier &= frontier - 1
+            members.append(v)
+            new = nb[v] & ~comp
+            comp |= new
+            frontier |= new
+        unseen &= ~comp
+        comps.append(sorted(members))
+    return comps
+
+
 def save_graph(g: Graph, path) -> None:
     """Write the canonical JSON form: {"n": ..., "edges": [[i, j], ...]}.
 
@@ -187,7 +224,10 @@ def _locate_line(text: str, a: int, b: int, occurrence: int = 1) -> int | None:
 
 
 def load_graph(path) -> Graph:
-    """Read a JSON graph file, reporting offending line numbers on errors."""
+    """Read a JSON graph file, reporting offending line numbers on errors.
+
+    The graph is checked once, by the Graph validator; only the edge it
+    rejects is looked up in the text."""
     with open(path, "r", encoding="utf-8") as fh:
         text = fh.read()
     try:
@@ -198,29 +238,16 @@ def load_graph(path) -> Graph:
         ) from exc
     if not isinstance(data, dict) or "n" not in data or "edges" not in data:
         raise GraphFormatError(f"{path}: expected an object with 'n' and 'edges'")
-    n = data["n"]
-    if not isinstance(n, int) or n < 1:
-        raise GraphFormatError(f"{path}: 'n' must be a positive integer, got {n!r}")
     raw = data["edges"]
     if not isinstance(raw, list):
         raise GraphFormatError(f"{path}: 'edges' must be a list")
-
-    seen: set[tuple[int, int]] = set()
-    raw_pairs: list[tuple[int, int]] = []
-    for idx, e in enumerate(raw):
-        if not (isinstance(e, list) and len(e) == 2 and all(isinstance(v, int) for v in e)):
-            raise GraphFormatError(f"{path}: edge #{idx} is not a pair of integers: {e!r}")
-        a, b = e
-        occ = 1 + sum(1 for p in raw_pairs if p == (a, b))
-        where = _locate_line(text, a, b, occurrence=occ)
-        loc = f" (line {where})" if where is not None else ""
-        if a == b:
-            raise GraphFormatError(f"{path}: self-loop [{a}, {b}]{loc}")
-        if not (0 <= a < n and 0 <= b < n):
-            raise GraphFormatError(f"{path}: edge [{a}, {b}] out of range for n={n}{loc}")
-        i, j = (a, b) if a < b else (b, a)
-        if (i, j) in seen:
-            raise GraphFormatError(f"{path}: duplicate edge [{a}, {b}]{loc}")
-        seen.add((i, j))
-        raw_pairs.append((a, b))
-    return Graph(n, tuple(sorted(seen)))
+    try:
+        return Graph(data["n"], raw)
+    except GraphFormatError as exc:
+        loc = ""
+        if exc.pair is not None:
+            a, b = exc.pair
+            seen = raw[: exc.edge_index + 1].count([a, b])
+            where = _locate_line(text, a, b, occurrence=seen)
+            loc = f" (line {where})" if where is not None else ""
+        raise GraphFormatError(f"{path}: {exc}{loc}", exc.edge_index, exc.pair) from exc

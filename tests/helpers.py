@@ -3,12 +3,13 @@
 from __future__ import annotations
 
 import math
+from fractions import Fraction
 
 import numpy as np
 
 from platoonnet.consensus import wmsr_update
-from platoonnet.formation import FormationTrace
-from platoonnet.graph import Graph, neighbors
+from platoonnet.formation import FormationTrace, SweepResult, modal_peak_frequency
+from platoonnet.graph import Graph, degrees, neighbors
 
 
 def random_connected_graph(rng, n_min=4, n_max=10, avoid_complete=True) -> Graph:
@@ -35,6 +36,15 @@ def random_connected_graph(rng, n_min=4, n_max=10, avoid_complete=True) -> Graph
         if avoid_complete and len(edges) == max_m:
             continue
         return Graph.from_edges(n, sorted(edges))
+
+
+def random_graph(rng, n_min=2, n_max=10) -> Graph:
+    """Random simple graph, connected or not: each pair is an edge with a
+    probability drawn per graph from [0, 1]."""
+    n = int(rng.integers(n_min, n_max + 1))
+    p = float(rng.uniform())
+    return Graph.from_edges(n, [(i, j) for i in range(n) for j in range(i + 1, n)
+                                if rng.uniform() < p])
 
 
 def missing_edges(g: Graph) -> list[tuple[int, int]]:
@@ -69,6 +79,25 @@ def brute_force_robustness(g: Graph) -> int:
             best = min(best, max(max_reach(s1), max_reach(s2)))
             sub = (sub - 1) & comp
     return best
+
+
+def edge_sum_isoperimetric(g: Graph) -> Fraction:
+    """Reference for isoperimetric_constant: the boundary of every subset
+    bitmask S as sum_v deg(v) [v in S] - 2 |E(S)|, one 2^n mask product per
+    vertex and per edge, minimised over 0 < |S| <= n/2."""
+    n = g.n
+    idx = np.arange(1 << n, dtype=np.uint32)
+    size = np.bitwise_count(idx).astype(np.int32)
+    bits = [((idx >> np.uint32(v)) & np.uint32(1)).astype(np.int32) for v in range(n)]
+    boundary = np.zeros(1 << n, dtype=np.int32)
+    for v, deg in enumerate(degrees(g)):
+        boundary += np.int32(deg) * bits[v]
+    for i, j in g.edges:
+        boundary -= 2 * (bits[i] & bits[j])
+    pos = np.flatnonzero((size > 0) & (2 * size <= n))
+    # quotients of small integers: the float comparison is exact
+    best = pos[np.argmin(boundary[pos] / size[pos])]
+    return Fraction(int(boundary[best]), int(size[best]))
 
 
 def brute_force_vertex_connectivity(g: Graph) -> int:
@@ -139,6 +168,53 @@ def rk4_formation(system, disturbance=None, T=10.0, h=1e-3, x0=None, record_ever
     pos, vel = arr[:, :n], arr[:, n:]
     span_err = pos @ system.c_mat[:, :n].T - system.desired_spans
     return FormationTrace(t=np.array(times), positions=pos, velocities=vel, span_errors=span_err)
+
+
+def grid_hinf_sweep(system, output=None, n_log=2000, n_window=50, refine=True) -> SweepResult:
+    """Reference for hinf_sweep: max of sigma_max(C (jwI - A)^{-1} F) on the
+    full realization over a log grid on [1e-3, 1e3] rad/s plus n_window
+    points within +-20% of each mode's analytic peak frequency, then a
+    golden-section polish around the grid argmax.  A is singular at w = 0,
+    so the static end is only approached from the 1e-3 rad/s grid floor."""
+    n2 = system.a_mat.shape[0]
+    out = system.c_mat if output is None else output
+
+    def sigma_max(w):
+        x = np.linalg.solve((1j * w) * np.eye(n2) - system.a_mat, system.f_mat)
+        return float(np.linalg.svd(out @ x, compute_uv=False)[0])
+
+    parts = [np.geomspace(1e-3, 1e3, n_log)]
+    for lam in system.lap_eigenvalues:
+        wbar = modal_peak_frequency(float(lam), system.kp, system.ku)
+        if wbar > 0:
+            parts.append(np.linspace(0.8 * wbar, 1.2 * wbar, n_window))
+    grid = np.unique(np.concatenate(parts))
+    grid = grid[grid > 0]
+    vals = np.array([sigma_max(w) for w in grid])
+    best = int(np.argmax(vals))
+    value, freq = float(vals[best]), float(grid[best])
+    if refine and len(grid) >= 2:
+        lo = grid[best - 1] if best > 0 else grid[0]
+        hi = grid[best + 1] if best + 1 < len(grid) else grid[-1]
+        inv_phi = (math.sqrt(5.0) - 1.0) / 2.0
+        a, b = float(lo), float(hi)
+        c = b - inv_phi * (b - a)
+        d = a + inv_phi * (b - a)
+        fc, fd = sigma_max(c), sigma_max(d)
+        for _ in range(80):
+            if b - a <= 1e-13 * max(1.0, b):
+                break
+            if fc > fd:
+                b, d, fd = d, c, fc
+                c = b - inv_phi * (b - a)
+                fc = sigma_max(c)
+            else:
+                a, c, fc = c, d, fd
+                d = a + inv_phi * (b - a)
+                fd = sigma_max(d)
+        if max(fc, fd) > value:
+            value, freq = max(fc, fd), (c if fc > fd else d)
+    return SweepResult(value=value, frequency=float(freq), grid_points=len(grid))
 
 
 def wmsr_loop(g: Graph, x0, adversaries, f: int, T: int):

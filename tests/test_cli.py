@@ -54,6 +54,15 @@ def test_analyze_graph_file(tmp_path):
     assert got["lambda2_bounds"] is None  # no platoon parameters known
 
 
+def test_analyze_graph_file_rejects_boolean_vertex_ids(tmp_path, capsys):
+    gpath = tmp_path / "g.json"
+    gpath.write_text('{"n": 3, "edges": [[true, 0], [1, 2]]}\n')
+    out = tmp_path / "out"
+    assert main(["analyze", "--graph", str(gpath), "--out", str(out)]) == 2
+    assert "pair of integers" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_analyze_requires_exactly_one_source(tmp_path, capsys):
     assert main(["analyze", "--out", str(tmp_path)]) == 2
     assert main(["analyze", "--platoon", "5,2", "--graph", "x.json"]) == 2

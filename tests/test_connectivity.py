@@ -8,7 +8,9 @@ import pytest
 from helpers import (
     brute_force_robustness,
     brute_force_vertex_connectivity,
+    edge_sum_isoperimetric,
     random_connected_graph,
+    random_graph,
 )
 from platoonnet.connectivity import (
     ExhaustiveLimitError,
@@ -99,6 +101,21 @@ def test_vertex_connectivity_against_brute_force():
         assert vertex_connectivity(g) == brute_force_vertex_connectivity(g), g.edges
 
 
+def test_vertex_connectivity_pair_reduction_against_brute_force():
+    # the Esfahanian-Hakimi pair set on graphs of every density, connected
+    # or not, complete ones included
+    rng = np.random.default_rng(1984)
+    for _ in range(150):
+        g = random_graph(rng, n_min=2, n_max=8)
+        assert vertex_connectivity(g) == brute_force_vertex_connectivity(g), (g.n, g.edges)
+    # Every vertex off the cut {0, 5, 6} neighbours the minimum-degree vertex
+    # 0, so only the pairs inside N(0), here (1, 3), see the cut; every pair
+    # (0, t) has 4 disjoint paths.
+    hub = [(0, v) for v in (1, 2, 3, 4)] + [(1, 2), (3, 4), (5, 6)]
+    g = Graph.from_edges(7, hub + [(s, v) for s in (5, 6) for v in (1, 2, 3, 4)])
+    assert vertex_connectivity(g) == brute_force_vertex_connectivity(g) == 3
+
+
 def test_whitney_inequalities_on_random_graphs():
     rng = np.random.default_rng(7)
     for _ in range(20):
@@ -185,6 +202,17 @@ def test_iso_against_brute_force():
         frac, val = isoperimetric_constant(g)
         assert frac == brute_force_iso(g), g.edges
         assert val == float(frac)
+
+
+def test_iso_subset_doubling_against_edge_sum():
+    rng = np.random.default_rng(300)
+    for _ in range(300):
+        g = random_graph(rng, n_min=2, n_max=12)
+        frac, val = isoperimetric_constant(g)
+        assert frac == edge_sum_isoperimetric(g), (g.n, g.edges)
+        assert val == float(frac)
+    g = build_knn_platoon(PlatoonSpec(20, 4))
+    assert isoperimetric_constant(g)[0] == edge_sum_isoperimetric(g) == 1
 
 
 def test_knn_iso_closed_form_against_exhaustive():

@@ -8,7 +8,6 @@ from platoonnet.formation import (
     BRANCH_UNDERDAMPED,
     Disturbance,
     build_formation,
-    default_sweep_grid,
     hinf_closed_form,
     hinf_grid,
     hinf_report,
@@ -19,9 +18,11 @@ from platoonnet.formation import (
     simulate_formation,
     sqrt_laplacian_output,
 )
-from platoonnet.graph import PlatoonSpec, build_knn_platoon, incidence, laplacian
+import platoonnet.formation as formation
+from platoonnet.connectivity import algebraic_connectivity
+from platoonnet.graph import Graph, PlatoonSpec, build_knn_platoon, incidence, laplacian
 
-from helpers import rk4_formation
+from helpers import grid_hinf_sweep, rk4_formation
 
 
 def make_system(n, k, kp=5.0, ku=10.0, d0=10.0):
@@ -124,17 +125,75 @@ def test_sweep_matches_closed_form():
 
 def test_sweep_alternative_output_is_equivalent():
     sys_ = make_system(8, 2)
-    grid = default_sweep_grid(sys_, n_log=300, n_window=20)
-    a = hinf_sweep(sys_, grid=grid, refine=False)
-    b = hinf_sweep(sys_, grid=grid, output=sqrt_laplacian_output(sys_), refine=False)
+    a = hinf_sweep(sys_)
+    b = hinf_sweep(sys_, output=sqrt_laplacian_output(sys_))
     assert abs(a.value - b.value) / a.value < 1e-9
+
+
+CRITERION_6_POINTS = [(n, k, kp, ku) for n in (5, 10, 20) for k in (1, 2, 4)
+                      for kp, ku in [(1.0, 1.0), (5.0, 10.0), (10.0, 2.0)]]
+
+
+@pytest.mark.parametrize("n, k, kp, ku", CRITERION_6_POINTS)
+def test_sweep_against_grid_oracle(n, k, kp, ku):
+    sys_ = make_system(n, k, kp=kp, ku=ku)
+    exact = hinf_sweep(sys_)
+    ref = grid_hinf_sweep(sys_, n_log=200, n_window=20)
+    # Every grid value is attained, so none may exceed the norm; 1e-8 covers
+    # the full realization's rounding near its singular w -> 0 end (2e-9 at
+    # K5, kp=10, ku=2).  The grid stays below by < 2e-6 (its 1e-3 rad/s floor).
+    assert ref.value * (1 - 1e-8) <= exact.value <= ref.value * (1 + 1e-5)
+    closed, branch = hinf_closed_form(sys_.lambda2, kp, ku)
+    assert abs(exact.value - closed) / closed < 1e-12
+    if branch == BRANCH_STATIC:
+        assert exact.frequency == 0.0
+    # the reported frequency attains the gain on the worst mode
+    attained = modal_gain(sys_.lambda2, kp, ku, exact.frequency)
+    assert abs(attained - closed) / closed < 1e-12
+
+
+def test_sweep_on_disconnected_graphs():
+    # Each component's translation mode is unobservable, so the gain is the
+    # worst component's: two P(3, 1) peak at w = 0 with 1 / (kp sqrt(1)) =
+    # 0.5, which the grid only approaches from its 1e-3 rad/s floor.
+    two_paths = build_formation(Graph.from_edges(6, [(0, 1), (1, 2), (3, 4), (4, 5)]), 2.0, 3.0)
+    exact = hinf_sweep(two_paths)
+    assert abs(exact.value - 0.5) < 1e-12 and exact.frequency == 0.0
+    ref = grid_hinf_sweep(two_paths)
+    assert ref.value <= exact.value and exact.value - ref.value < 1e-6
+    # P(4, 2) plus an isolated vehicle 4, on the underdamped branch
+    edges = build_knn_platoon(PlatoonSpec(4, 2)).edges
+    with_isolated = build_formation(Graph.from_edges(5, edges), 4.0, 1.0)
+    closed, branch = hinf_closed_form(
+        algebraic_connectivity(build_knn_platoon(PlatoonSpec(4, 2))), 4.0, 1.0)
+    assert branch == BRANCH_UNDERDAMPED
+    exact = hinf_sweep(with_isolated)
+    assert abs(exact.value - closed) / closed < 1e-12
+    ref = grid_hinf_sweep(with_isolated)
+    assert ref.value * (1 - 1e-8) <= exact.value <= ref.value * (1 + 1e-5)
+    root = hinf_sweep(with_isolated, output=sqrt_laplacian_output(with_isolated))
+    assert abs(root.value - exact.value) / exact.value < 1e-9
+
+
+def test_sweep_edge_cases():
+    edgeless = hinf_sweep(build_formation(Graph.from_edges(4, []), 1.0, 1.0))
+    assert (edgeless.value, edgeless.frequency, edgeless.grid_points) == (0.0, 0.0, 0)
+    single = hinf_sweep(build_formation(Graph.from_edges(2, [(0, 1)]), 1.0, 1.0))
+    # one edge: lambda = 2, lambda ku^2 / (2 kp) = 1, the branch boundary
+    assert abs(single.value - hinf_closed_form(2.0, 1.0, 1.0)[0]) < 1e-12
+
+
+def test_sweep_refuses_to_return_unconverged(monkeypatch):
+    monkeypatch.setattr(formation, "_HINF_MAX_ITER", 0)
+    with pytest.raises(RuntimeError, match="did not converge"):
+        hinf_sweep(make_system(6, 2))
 
 
 def test_hinf_report_bundles_consistent_numbers():
     sys_ = make_system(10, 2)
     rep = hinf_report(sys_)
     assert rep.branch == BRANCH_STATIC
-    assert rep.analytic_peak_frequency == 0.0
+    assert rep.analytic_peak_frequency == 0.0 == rep.sweep_frequency
     assert abs(rep.sweep_value - rep.closed_form) / rep.closed_form < 1e-3
     assert len(rep.per_mode) == 10
     assert rep.per_mode[0][1] == 0.0  # translation mode carries no gain

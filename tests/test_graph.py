@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+import platoonnet.graph as graph_module
 from platoonnet.graph import (
     Graph,
     GraphFormatError,
@@ -100,6 +101,18 @@ def test_graph_rejects_bad_edges():
         Graph.from_edges(0, [])
 
 
+def test_graph_rejects_booleans_as_vertex_ids():
+    # bool is an int subclass, but True is not vertex 1
+    with pytest.raises(GraphFormatError, match="pair of integers") as info:
+        Graph(3, ((0, 1), (True, 2)))
+    assert info.value.edge_index == 1
+    with pytest.raises(GraphFormatError, match="pair of integers"):
+        Graph.from_edges(3, [(np.int64(0), False)])
+    with pytest.raises(GraphFormatError, match="vertex count"):
+        Graph(True, ())
+    assert Graph.from_edges(3, [(np.int64(2), 1)]).edges == ((1, 2),)
+
+
 def test_platoon_spec_validation():
     with pytest.raises(ValueError):
         PlatoonSpec(5, 0)
@@ -179,4 +192,33 @@ def test_load_rejects_wrong_shape(tmp_path):
         load_graph(path)
     path.write_text('{"n": 2, "edges": [["a", "b"]]}\n')
     with pytest.raises(GraphFormatError, match="pair of integers"):
+        load_graph(path)
+
+
+def test_load_rejects_booleans_as_vertex_ids(tmp_path):
+    path = tmp_path / "g.json"
+    path.write_text('{"n": 3, "edges": [[true, 0], [1, 2]]}\n')
+    with pytest.raises(GraphFormatError, match=r"edge #0 is not a pair of integers: \[True, 0\]"):
+        load_graph(path)
+    path.write_text('{"n": true, "edges": []}\n')
+    with pytest.raises(GraphFormatError, match="vertex count must be a positive integer"):
+        load_graph(path)
+
+
+def test_load_locates_only_the_failing_edge(tmp_path, monkeypatch):
+    # a valid file never searches its text for edge lines
+    def refuse(*args, **kwargs):
+        raise AssertionError("_locate_line called on a valid file")
+
+    monkeypatch.setattr(graph_module, "_locate_line", refuse)
+    n = 8001
+    path = tmp_path / "path.json"
+    save_graph(Graph.from_edges(n, [(i, i + 1) for i in range(n - 1)]), path)
+    g = load_graph(path)
+    assert (g.n, g.m) == (n, n - 1) and g.edges[-1] == (n - 2, n - 1)
+    monkeypatch.undo()
+    # the failing edge is still found: the reversed duplicate of [5, 6] sits on line 8004
+    text = path.read_text().replace("    [7999, 8000]\n", "    [7999, 8000],\n    [6, 5]\n")
+    path.write_text(text)
+    with pytest.raises(GraphFormatError, match=r"duplicate edge \[6, 5\] \(line 8004\)"):
         load_graph(path)

@@ -22,11 +22,11 @@ import hashlib
 import json
 import math
 import sys
-from importlib import metadata
 from pathlib import Path
 
 import numpy as np
 
+from . import __version__
 from .connectivity import (
     ExhaustiveLimitError,
     ISO_LIMIT,
@@ -227,12 +227,8 @@ def _config_hash(config: dict) -> str:
 
 
 def _versions() -> dict:
-    try:
-        own = metadata.version("platoonnet")
-    except metadata.PackageNotFoundError:
-        own = "unknown"
     return {
-        "platoonnet": own,
+        "platoonnet": __version__,
         "numpy": np.__version__,
         "python": "%d.%d.%d" % sys.version_info[:3],
     }

@@ -163,6 +163,20 @@ def is_r_reachable(g: Graph, S, r: int) -> bool:
     return False
 
 
+def _reach_table(g: Graph) -> list[int]:
+    """reach[S] = max over v in S of |N(v) minus S| for every subset bitmask
+    S of the vertices (0 for the empty set): one vector step per vertex over
+    all 2^n subsets, keeping a running maximum over the subsets holding v."""
+    idx = np.arange(1 << g.n, dtype=np.uint32)
+    outside = ~idx
+    reach = np.zeros(1 << g.n, dtype=np.uint8)
+    for v, mask in enumerate(g.neighbor_bitmasks):
+        count = np.bitwise_count(outside & np.uint32(mask))
+        count[(idx >> np.uint32(v)) & np.uint32(1) == 0] = 0
+        np.maximum(reach, count, out=reach)
+    return reach.tolist()
+
+
 def robustness(g: Graph, limit: int = ROBUSTNESS_LIMIT) -> int:
     """Largest r such that every pair of nonempty disjoint subsets has an
     r-reachable member, by exhaustive enumeration of subset pairs.
@@ -177,21 +191,7 @@ def robustness(g: Graph, limit: int = ROBUSTNESS_LIMIT) -> int:
             f"exhaustive search refused: robustness on n={n} exceeds limit {limit}"
         )
     full = (1 << n) - 1
-    nb = g.neighbor_bitmasks
-
-    # reach[S] = max over v in S of |N(v) \ S|
-    reach = [0] * (full + 1)
-    for S in range(1, full + 1):
-        notS = ~S
-        best_r = 0
-        T = S
-        while T:
-            v = (T & -T).bit_length() - 1
-            T &= T - 1
-            c = (nb[v] & notS).bit_count()
-            if c > best_r:
-                best_r = c
-        reach[S] = best_r
+    reach = _reach_table(g)
 
     # min over pairs (S1, S2 subset of complement) of max(reach).  Seeded with
     # ceil(n/2), which a half/half partition pair always attains for n >= 2,
@@ -252,8 +252,12 @@ def isoperimetric_constant(g: Graph, limit: int = ISO_LIMIT) -> tuple[Fraction, 
 
 
 def algebraic_connectivity(g: Graph) -> float:
-    """Second-smallest Laplacian eigenvalue (dense symmetric eigensolver)."""
-    if g.n < 2:
+    """Second-smallest Laplacian eigenvalue (dense symmetric eigensolver).
+
+    Exactly 0.0 for a disconnected graph, whose Laplacian has one zero
+    eigenvalue per component; the eigensolver is not run.
+    """
+    if g.n < 2 or not is_connected(g):
         return 0.0
     w = np.linalg.eigvalsh(laplacian(g).astype(np.float64))
     return float(w[1])

@@ -3,9 +3,10 @@
 Each vehicle runs the linear iteration x[k+1] = W x[k] + A phi[k], where A
 selects the (unknown) fault-injection columns and phi stacks the fault
 signals.  A vehicle observes itself and its graph neighbors.  Recovery
-enumerates candidate fault sets of size <= f, solves the stacked linear
-system for each, keeps the consistent ones, and succeeds when they all agree
-on x[0].
+enumerates candidate fault sets of size <= f, tests each in the parity
+space of the observability matrix (the measurements with every possible
+initial state projected out), keeps the consistent ones, and succeeds when
+x[0] is identifiable under each of them and they all agree on it.
 """
 
 from __future__ import annotations
@@ -156,6 +157,30 @@ def observe(g: Graph, states: np.ndarray, observer: int, length: int | None = No
     return MeasurementTrace(observer=observer, rows=tuple(rows), y=states[:L, rows].copy())
 
 
+def _stacked_maps(W: WeightMatrix, observer: int, length: int) -> tuple[np.ndarray, np.ndarray]:
+    """The observability matrix O (m x n) and the fault map T (m x (L-1) x n)
+    of one observer, m = L * |rows|.
+
+    Row block k of O is C W^k.  T[:, j, v] is the response of the stacked
+    measurements to a unit fault of vehicle v at step j: C W^(k-1-j) e_v in
+    row block k > j, zero above it.
+    """
+    if length < 1:
+        raise ValueError("length must be >= 1")
+    n = W.graph.n
+    rows = measured_rows(W.graph, observer)
+    rp = len(rows)
+    # C W^p for p = 0..length-1, computed by repeated multiplication
+    cw = np.zeros((length, rp, n))
+    cw[0] = np.eye(n)[rows]
+    for p in range(1, length):
+        cw[p] = cw[p - 1] @ W.matrix
+    forced = np.zeros((length, rp, length - 1, n))
+    for j in range(length - 1):
+        forced[j + 1:, :, j, :] = cw[: length - 1 - j]
+    return cw.reshape(length * rp, n), forced.reshape(length * rp, length - 1, n)
+
+
 def observation_model(
     W: WeightMatrix, observer: int, length: int, fault_set=()
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -166,26 +191,9 @@ def observation_model(
     |fault_set|, ordered by sorted fault set).  With length = 1, J has zero
     columns.
     """
-    if length < 1:
-        raise ValueError("length must be >= 1")
-    g = W.graph
-    n = g.n
-    rows = measured_rows(g, observer)
-    rp = len(rows)
     faults = sorted(set(int(v) for v in fault_set))
-    # C W^p for p = 0..length-1, computed by repeated multiplication
-    cw = np.zeros((length, rp, n))
-    cw[0] = np.eye(n)[rows]
-    for p in range(1, length):
-        cw[p] = cw[p - 1] @ W.matrix
-    obs = cw.reshape(length * rp, n)
-    nf = len(faults)
-    forced = np.zeros((length * rp, nf * max(length - 1, 0)))
-    for k in range(1, length):
-        for j in range(k):
-            block = cw[k - 1 - j][:, faults]
-            forced[k * rp:(k + 1) * rp, j * nf:(j + 1) * nf] = block
-    return obs, forced
+    obs, forced = _stacked_maps(W, observer, length)
+    return obs, forced[:, :, faults].reshape(obs.shape[0], (length - 1) * len(faults))
 
 
 @dataclass(frozen=True)
@@ -211,49 +219,87 @@ class RecoveryResult:
 
 
 RANK_RCOND = 1e-10
+# largest batch of stacked G_F, in elements: ~16 MB per batched array
+_BATCH_ELEMENTS = 1 << 21
 
 
 def recover_initial_state(trace: MeasurementTrace, W: WeightMatrix, f: int) -> RecoveryResult:
     """Recover x[0] from one observer's measurements, tolerating <= f faults.
 
-    Enumerates candidate fault sets (sizes 0..f, lexicographic, observer
-    excluded), solves each stacked system by SVD least squares
-    (rcond = 1e-10), and keeps candidates with residual
-    < 1e-8 * (1 + ||Y||_inf).  Returns the common x[0] if all consistent
-    candidates agree componentwise within the same tolerance, otherwise an
-    ambiguity result listing them.  Raises ModelMismatchError if nothing is
-    consistent.
+    Parity-space test.  Y = O x[0] + T_F Phi for the true fault set F, so
+    projecting onto the left null space N of O removes x[0]:
+    z = N^T Y = G_F Phi with G_F = N^T T_F.  O is factored once per call
+    (SVD, rank cut at RANK_RCOND relative to its largest singular value);
+    then, for each size 0..f, every candidate fault set of that size
+    (lexicographic, observer excluded) is solved in one batched SVD: Phi is
+    the minimum-norm solution (same relative cut per matrix), the residual
+    is N (z - G_F Phi), and a candidate is kept iff its largest entry is
+    < 1e-8 * (1 + ||Y||_inf).  A kept candidate's state is
+    x[0] = O^+ (Y - T_F Phi).
+
+    The result is unique only if x[0] is identifiable under every kept
+    candidate (O has full column rank, and every null direction of G_F is
+    also a null direction of T_F, so no fault signal can imitate a change
+    of x[0]) and all kept states agree componentwise within the tolerance.
+    Otherwise it is an ambiguity result listing the kept candidates.
+    Raises ModelMismatchError if nothing is consistent.
     """
     if f < 0:
         raise ValueError("f must be >= 0")
-    g = W.graph
-    n = g.n
+    n = W.graph.n
     L = int(trace.y.shape[0])
-    y_flat = np.asarray(trace.y, dtype=np.float64).reshape(L * len(trace.rows))
-    tol = 1e-8 * (1.0 + float(np.max(np.abs(y_flat))))
+    y = np.asarray(trace.y, dtype=np.float64).reshape(-1)
+    m = y.size
+    tol = 1e-8 * (1.0 + float(np.max(np.abs(y))))
+    obs, forced = _stacked_maps(W, trace.observer, L)
+
+    u, s, vt = np.linalg.svd(obs)
+    rank = int(np.count_nonzero(s > RANK_RCOND * s[0]))
+    null = u[:, rank:]
+    pinv = (vt[:rank].T / s[:rank]) @ u[:, :rank].T
+    z = null.T @ y
+    # G_v = N^T T_v for every vehicle v: (n, m - rank, L - 1)
+    parity = (null.T @ forced.reshape(m, -1)).reshape(m - rank, L - 1, n).transpose(2, 0, 1)
 
     others = [v for v in range(n) if v != trace.observer]
     consistent: list[CandidateFit] = []
+    identifiable = rank == n
     for size in range(f + 1):
-        for fault_set in itertools.combinations(others, size):
-            obs, forced = observation_model(W, trace.observer, L, fault_set)
-            m_mat = np.hstack([obs, forced]) if forced.size else obs
-            z, *_ = np.linalg.lstsq(m_mat, y_flat, rcond=RANK_RCOND)
-            resid = float(np.max(np.abs(m_mat @ z - y_flat)))
-            if resid < tol:
-                phi_hat = z[n:].reshape(max(L - 1, 0), size) if size else np.zeros((max(L - 1, 0), 0))
-                consistent.append(
-                    CandidateFit(fault_set=fault_set, x0=z[:n].copy(), phi=phi_hat, residual=resid)
-                )
+        cols = (L - 1) * size
+        per_batch = max(1, _BATCH_ELEMENTS // max(1, (m - rank) * cols))
+        sets = itertools.combinations(others, size)
+        while batch := list(itertools.islice(sets, per_batch)):
+            idx = np.array(batch, dtype=np.intp).reshape(len(batch), size)
+            # G_F with columns ordered (step, vehicle), as in observation_model
+            g = parity[idx].transpose(0, 2, 3, 1).reshape(len(batch), m - rank, cols)
+            gu, gs, gvt = np.linalg.svd(g, full_matrices=False)
+            live = gs > RANK_RCOND * gs[:, :1]
+            coef = (gu.transpose(0, 2, 1) @ z) / np.where(live, gs, 1.0)
+            phi = ((coef * live)[:, None, :] @ gvt)[:, 0, :]
+            resid = (z - (g @ phi[:, :, None])[:, :, 0]) @ null.T
+            resid = np.max(np.abs(resid), axis=1, initial=0.0)
+            for i in np.flatnonzero(resid < tol):
+                fault_set = batch[i]
+                t_f = forced[:, :, list(fault_set)].reshape(m, cols)
+                x0 = pinv @ (y - t_f @ phi[i])
+                consistent.append(CandidateFit(fault_set=fault_set, x0=x0,
+                                               phi=phi[i].reshape(L - 1, size),
+                                               residual=float(resid[i])))
+                if identifiable:
+                    # part of T_F on the null space of G_F must vanish
+                    v = gvt[i][live[i]]
+                    leak = t_f - (t_f @ v.T) @ v
+                    scale = np.max(np.abs(t_f), initial=0.0)
+                    identifiable = np.max(np.abs(leak), initial=0.0) <= RANK_RCOND * scale
     if not consistent:
         raise ModelMismatchError(
             f"no candidate fault set of size <= {f} is consistent with the measurements"
         )
     base = min(consistent, key=lambda c: c.residual)
-    agree = all(np.max(np.abs(c.x0 - base.x0)) < tol for c in consistent)
+    unique = identifiable and all(np.max(np.abs(c.x0 - base.x0)) < tol for c in consistent)
     return RecoveryResult(
-        unique=agree,
-        x0=base.x0 if agree else None,
+        unique=bool(unique),
+        x0=base.x0 if unique else None,
         candidates=tuple(consistent),
         tol=tol,
     )

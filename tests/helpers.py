@@ -2,12 +2,22 @@
 
 from __future__ import annotations
 
+import itertools
 import math
 from fractions import Fraction
 
 import numpy as np
 
 from platoonnet.consensus import wmsr_update
+from platoonnet.estimation import (
+    RANK_RCOND,
+    CandidateFit,
+    MeasurementTrace,
+    ModelMismatchError,
+    RecoveryResult,
+    WeightMatrix,
+    observation_model,
+)
 from platoonnet.formation import FormationTrace, SweepResult, modal_peak_frequency
 from platoonnet.graph import Graph, degrees, neighbors
 
@@ -246,3 +256,34 @@ def wmsr_loop(g: Graph, x0, adversaries, f: int, T: int):
                 violations.append((k + 1, i))
         values[k + 1] = nxt
     return values, violations, converged_at
+
+
+def joint_lstsq_recover(trace: MeasurementTrace, W: WeightMatrix, f: int) -> RecoveryResult:
+    """Reference for recover_initial_state's candidate screening: one joint
+    least-squares solve of [O, J_F] per candidate fault set (SVD, rcond =
+    RANK_RCOND), kept iff the residual's largest entry is
+    < 1e-8 * (1 + ||Y||_inf).  Reports unique whenever all kept x[0] agree
+    within that tolerance, with no identifiability test."""
+    n = W.graph.n
+    L = int(trace.y.shape[0])
+    y_flat = np.asarray(trace.y, dtype=np.float64).reshape(-1)
+    tol = 1e-8 * (1.0 + float(np.max(np.abs(y_flat))))
+    others = [v for v in range(n) if v != trace.observer]
+    consistent = []
+    for size in range(f + 1):
+        for fault_set in itertools.combinations(others, size):
+            obs, forced = observation_model(W, trace.observer, L, fault_set)
+            m_mat = np.hstack([obs, forced])
+            z, *_ = np.linalg.lstsq(m_mat, y_flat, rcond=RANK_RCOND)
+            resid = float(np.max(np.abs(m_mat @ z - y_flat)))
+            if resid < tol:
+                consistent.append(CandidateFit(fault_set=fault_set, x0=z[:n].copy(),
+                                               phi=z[n:].reshape(L - 1, size), residual=resid))
+    if not consistent:
+        raise ModelMismatchError(
+            f"no candidate fault set of size <= {f} is consistent with the measurements"
+        )
+    base = min(consistent, key=lambda c: c.residual)
+    agree = all(np.max(np.abs(c.x0 - base.x0)) < tol for c in consistent)
+    return RecoveryResult(unique=agree, x0=base.x0 if agree else None,
+                          candidates=tuple(consistent), tol=tol)

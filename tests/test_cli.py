@@ -8,6 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import platoonnet
 from platoonnet import cli
 from platoonnet.cli import main
 from platoonnet.connectivity import connectivity_report
@@ -392,3 +393,21 @@ def test_cli_import_leaves_jsonschema_unloaded():
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True,
                          env={"PYTHONPATH": src, "PATH": ""})
     assert out.stdout.strip() == "False"
+
+
+def test_cli_import_leaves_importlib_metadata_unloaded():
+    code = ("import sys; before = 'importlib.metadata' in sys.modules; import platoonnet.cli; "
+            "print(before, 'importlib.metadata' in sys.modules)")
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True,
+                         env={"PYTHONPATH": src, "PATH": ""})
+    assert out.stdout.strip() == "False False"
+
+
+def test_manifest_version_is_the_project_version(tmp_path):
+    tomllib = pytest.importorskip("tomllib")
+    with open(Path(__file__).resolve().parent.parent / "pyproject.toml", "rb") as fh:
+        version = tomllib.load(fh)["project"]["version"]
+    assert platoonnet.__version__ == version
+    assert main(["analyze", "--platoon", "6,2", "--out", str(tmp_path)]) == 0
+    assert read_manifest(tmp_path)["versions"]["platoonnet"] == version

@@ -26,8 +26,9 @@ from platoonnet.connectivity import (
     lambda2_bounds,
     robustness,
     vertex_connectivity,
+    _reach_table,
 )
-from platoonnet.graph import Graph, PlatoonSpec, build_knn_platoon, degrees
+from platoonnet.graph import Graph, PlatoonSpec, build_knn_platoon, degrees, laplacian
 
 
 def complete_graph(n):
@@ -91,7 +92,33 @@ def test_disconnected_graph_measures():
     assert vertex_connectivity(g) == 0
     assert edge_connectivity(g) == 0
     assert robustness(g) == 0
-    assert abs(algebraic_connectivity(g)) < 1e-12
+    assert algebraic_connectivity(g) == 0.0
+
+
+def test_algebraic_connectivity_skips_the_eigensolver_only_when_disconnected():
+    # the eigensolver's lambda2 of a disconnected graph is rounding noise
+    # (-3.5e-16 on a split 700-vehicle platoon); connected graphs keep it bitwise
+    rng = np.random.default_rng(2)
+    seen = set()
+    for _ in range(200):
+        g = random_graph(rng, n_min=2, n_max=12)
+        if is_connected(g):
+            want = float(np.linalg.eigvalsh(laplacian(g).astype(np.float64))[1])
+        else:
+            want = 0.0
+        assert algebraic_connectivity(g) == want, (g.n, g.edges)
+        seen.add(is_connected(g))
+    assert seen == {True, False}
+
+
+def test_reach_table_matches_scalar_formula():
+    rng = np.random.default_rng(5)
+    for _ in range(60):
+        g = random_graph(rng, n_min=1, n_max=12)
+        nb = g.neighbor_bitmasks
+        want = [max(((nb[v] & ~s).bit_count() for v in range(g.n) if s >> v & 1), default=0)
+                for s in range(1 << g.n)]
+        assert _reach_table(g) == want, (g.n, g.edges)
 
 
 def test_vertex_connectivity_against_brute_force():

@@ -1,7 +1,10 @@
 import numpy as np
 import pytest
 
+from helpers import joint_lstsq_recover
+from platoonnet import estimation
 from platoonnet.estimation import (
+    RANK_RCOND,
     FaultScenario,
     ModelMismatchError,
     WeightMatrix,
@@ -226,6 +229,113 @@ def test_ambiguous_recovery_reports_candidates():
     assert result.x0 is None
     assert (3,) in [c.fault_set for c in result.candidates]
     assert len(result.candidates) > 1
+
+
+# (n, k, f, measurement steps, row-stochastic weights): the benchmark's two
+# estimate shapes (raw weights, horizon below n), the shapes of
+# test_recovery_identifies_state_and_faults (n + 1 steps), raw weights with
+# n + 1 steps, and k = 1, which cannot tolerate the fault
+ORACLE_SHAPES = [
+    (16, 4, 1, 10, False), (18, 5, 2, 8, False),
+    (8, 3, 1, 9, True), (10, 3, 1, 11, True), (10, 5, 2, 11, True), (12, 5, 2, 13, True),
+    (10, 3, 1, 11, False), (4, 1, 1, 5, False),
+]
+
+
+def single_fault_run(n, k, steps, seed, stochastic=False):
+    """Observer 0's full trace of a run with one faulty vehicle (not 0)."""
+    g, W, x0 = make_setup(n, k, seed)
+    if stochastic:
+        W = WeightMatrix(g, W.matrix / W.matrix.sum(axis=1, keepdims=True))
+    rng = np.random.default_rng([seed, 2])
+    faulty = int(rng.integers(1, n))
+    phi = {(faulty, s): float(rng.uniform(-2, 2)) for s in range(steps - 1)}
+    states = simulate_faulty(W, x0, FaultScenario(faulty=(faulty,), phi=phi, horizon=steps - 1))
+    return g, W, x0, states
+
+
+@pytest.mark.parametrize("n,k,f,steps,stochastic", ORACLE_SHAPES)
+def test_parity_screening_matches_joint_lstsq(n, k, f, steps, stochastic):
+    for seed in range(3):
+        g, W, x0, states = single_fault_run(n, k, steps, seed, stochastic)
+        for used in range(1, steps + 1):
+            trace = observe(g, states, 0, used)
+            new = recover_initial_state(trace, W, f)
+            old = joint_lstsq_recover(trace, W, f)
+            where = (n, k, seed, used)
+            assert [c.fault_set for c in new.candidates] == [c.fault_set for c in old.candidates], where
+            # the identifiability rule only ever withdraws a unique answer
+            assert old.unique or not new.unique, where
+            if new.unique and old.unique:
+                assert np.max(np.abs(new.x0 - old.x0)) <= 1e-8 * (1 + np.max(np.abs(old.x0))), where
+        assert new.unique == old.unique, (n, k, seed)
+
+
+def test_batch_size_does_not_change_the_result(monkeypatch):
+    g, W, x0, states = single_fault_run(12, 5, 13, 0, stochastic=True)
+    traces = [observe(g, states, 0, used) for used in (1, 4, 13)]
+    whole = [recover_initial_state(trace, W, 2) for trace in traces]
+    monkeypatch.setattr(estimation, "_BATCH_ELEMENTS", 1)  # one candidate per SVD
+    for trace, want in zip(traces, whole):
+        got = recover_initial_state(trace, W, 2)
+        assert got.unique == want.unique
+        assert [c.fault_set for c in got.candidates] == [c.fault_set for c in want.candidates]
+        for a, b in zip(got.candidates, want.candidates):
+            assert np.allclose(a.x0, b.x0, rtol=0, atol=1e-9 * (1 + np.max(np.abs(b.x0))))
+            assert a.phi.shape == b.phi.shape
+
+
+def test_rank_deficient_observability_is_never_unique():
+    # the oracle shapes, plus the default horizon n on raw weights, where
+    # the late rows of O (spectral radius ~4) swamp the early ones
+    shapes = [(n, k, f, steps) for n, k, f, steps, _ in ORACLE_SHAPES]
+    shapes += [(14, 5, 2, 14), (16, 4, 1, 16), (20, 3, 1, 20), (24, 3, 1, 24)]
+    deficient = 0
+    for n, k, f, steps in shapes:
+        g, W, x0, states = single_fault_run(n, k, steps, 0)
+        for used in range(1, steps + 1):
+            sv = np.linalg.svd(observation_model(W, 0, used)[0], compute_uv=False)
+            if np.count_nonzero(sv > RANK_RCOND * sv[0]) < n:
+                deficient += 1
+                result = recover_initial_state(observe(g, states, 0, used), W, f)
+                assert not result.unique and result.x0 is None, (n, k, used)
+    assert deficient > len(shapes)  # beyond the single-step traces alone
+
+
+def test_fault_imitating_an_initial_state_is_never_unique():
+    # vehicle 6 of P(8, 3) reaches the others only through vehicle 4's
+    # update, so a fault of vehicle 4 at step 0 looks exactly like another
+    # initial state of vehicle 6: O has full rank, yet the measurements
+    # cannot tell x0 with vehicle 4 faulty from x0 + (1.5 / 0.7) e_6 with
+    # no fault, and every candidate fits them with phi = 0
+    g = build_knn_platoon(PlatoonSpec(8, 3))
+    w = random_weights(g, 0).matrix.copy()
+    w[:, 6] = 0.0
+    w[4, 6] = 0.7
+    W = WeightMatrix(g, w)
+    x0 = np.random.default_rng([0, 1]).uniform(-5, 5, 8)
+    shifted = x0 + 1.5 / 0.7 * np.eye(8)[6]
+    faulty = simulate_faulty(W, x0, FaultScenario(faulty=(4,), phi={(4, 0): 1.5}, horizon=8))
+    clean = simulate_faulty(W, shifted, FaultScenario(faulty=(), phi={}, horizon=8))
+    trace = observe(g, faulty, 0)
+    assert np.max(np.abs(trace.y - observe(g, clean, 0).y)) < 1e-12
+    sv = np.linalg.svd(observation_model(W, 0, 9)[0], compute_uv=False)
+    assert np.count_nonzero(sv > RANK_RCOND * sv[0]) == 8
+    result = recover_initial_state(trace, W, 1)
+    assert {(), (4,)} <= {c.fault_set for c in result.candidates}
+    assert not result.unique and result.x0 is None
+
+
+def test_unique_recovery_is_right_at_default_horizon():
+    # on P(n, 3) with random_weights (spectral radius ~4) and horizon n, the
+    # residual tolerance grows like 4^n and keeps every candidate; recovery
+    # used to report `unique` there with errors of several units
+    for n in range(12, 31):
+        for seed in range(5):
+            g, W, x0, states = single_fault_run(n, 3, n, seed)
+            result = recover_initial_state(observe(g, states, 0), W, 1)
+            if result.unique:
+                assert np.max(np.abs(result.x0 - x0)) < 1e-6, (n, seed)
 
 
 def test_max_tolerable_faults_table():

@@ -30,6 +30,7 @@ from . import __version__
 from .connectivity import (
     ExhaustiveLimitError,
     ISO_LIMIT,
+    KNN_ROBUSTNESS_VERIFIED_N,
     ROBUSTNESS_LIMIT,
     connectivity_report,
     knn_closed_forms,
@@ -184,15 +185,88 @@ FORMATION_SCHEMA = {
 }
 
 
-def _validate_schema(data, schema, what: str) -> None:
-    import jsonschema  # only scenario commands validate; keeps it out of start-up
+def _is_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
 
-    validator = jsonschema.Draft202012Validator(schema)
-    errors = sorted(validator.iter_errors(data), key=lambda e: list(e.absolute_path))
-    if errors:
-        err = errors[0]
-        pointer = "/" + "/".join(str(p) for p in err.absolute_path)
-        raise ValidationFailure(f"{what}: invalid at {pointer or '/'}: {err.message}")
+
+_TYPE_CHECKS = {
+    "object": lambda v: isinstance(v, dict),
+    "array": lambda v: isinstance(v, list),
+    "string": lambda v: isinstance(v, str),
+    "number": _is_number,
+    # JSON Schema counts 2.0 as an integer
+    "integer": lambda v: _is_number(v) and (isinstance(v, int) or v.is_integer()),
+}
+
+# the JSON Schema keywords that _first_error implements
+SCHEMA_KEYWORDS = frozenset({
+    "type", "properties", "required", "additionalProperties", "items", "prefixItems",
+    "minItems", "maxItems", "minimum", "exclusiveMinimum", "enum", "const", "oneOf",
+})
+
+
+def _same(value, allowed) -> bool:
+    """JSON equality of scalars: true and 1 are different values."""
+    return value == allowed and isinstance(value, bool) == isinstance(allowed, bool)
+
+
+def _first_error(value, schema: dict, path: tuple = ()) -> tuple[tuple, str] | None:
+    """(path, message) of the first place where value breaks schema, or None.
+
+    JSON Schema 2020-12 semantics for the keywords in SCHEMA_KEYWORDS.  A
+    node's own keywords are checked before its children, object keys in
+    sorted order and array indices in ascending order, so the error returned
+    is the one with the smallest path.
+    """
+    kind = schema.get("type")
+    if kind is not None and not _TYPE_CHECKS[kind](value):
+        return path, f"expected {kind}, got {json.dumps(value)}"
+    if "enum" in schema and not any(_same(value, v) for v in schema["enum"]):
+        return path, f"{json.dumps(value)} is not one of {json.dumps(schema['enum'])}"
+    if "const" in schema and not _same(value, schema["const"]):
+        return path, f"{json.dumps(value)} is not {json.dumps(schema['const'])}"
+    if "oneOf" in schema:
+        matches = sum(_first_error(value, branch) is None for branch in schema["oneOf"])
+        if matches != 1:
+            return path, f"matches {matches} of the {len(schema['oneOf'])} allowed forms, not 1"
+    if _is_number(value):
+        if "minimum" in schema and value < schema["minimum"]:
+            return path, f"{json.dumps(value)} is below the minimum {schema['minimum']}"
+        if "exclusiveMinimum" in schema and value <= schema["exclusiveMinimum"]:
+            return path, f"{json.dumps(value)} is not above {schema['exclusiveMinimum']}"
+    children = []
+    if isinstance(value, list):
+        if len(value) < schema.get("minItems", 0):
+            return path, f"{len(value)} items, fewer than {schema['minItems']}"
+        if len(value) > schema.get("maxItems", len(value)):
+            return path, f"{len(value)} items, more than {schema['maxItems']}"
+        prefix = schema.get("prefixItems", [])
+        children = [(i, prefix[i] if i < len(prefix) else schema.get("items"))
+                    for i in range(len(value))]
+    elif isinstance(value, dict):
+        missing = [key for key in schema.get("required", ()) if key not in value]
+        if missing:
+            return path, f"missing required key {json.dumps(missing[0])}"
+        props = schema.get("properties", {})
+        if schema.get("additionalProperties", True) is False:
+            unknown = sorted(set(value) - set(props))
+            if unknown:
+                return path, f"unknown key {json.dumps(unknown[0])}"
+        children = [(key, props.get(key)) for key in sorted(value)]
+    for key, sub in children:
+        if sub is not None:
+            error = _first_error(value[key], sub, path + (key,))
+            if error is not None:
+                return error
+    return None
+
+
+def _validate_schema(data, schema, what: str) -> None:
+    error = _first_error(data, schema)
+    if error is not None:
+        path, message = error
+        pointer = "/" + "/".join(str(p) for p in path)
+        raise ValidationFailure(f"{what}: invalid at {pointer}: {message}")
 
 
 def _load_json(path: str, what: str):
@@ -408,11 +482,18 @@ def cmd_analyze(args) -> int:
                 f"(closed-form, not verified exhaustively)",
                 file=sys.stderr,
             )
-            if platoon.k > platoon.n // 2:
+            if closed.robustness_note is not None:
+                why = (
+                    "k > floor(n/2)" if platoon.k > platoon.n // 2
+                    else f"n > {KNN_ROBUSTNESS_VERIFIED_N}"
+                )
+                bounds = (
+                    "and isoperimetric constant are only upper bounds"
+                    if closed.iso_note is not None else "is only an upper bound"
+                )
                 print(
-                    "warning: k > floor(n/2); the closed-form robustness "
-                    "(capped at ceil(n/2)) and isoperimetric constant are only "
-                    "upper bounds in this regime",
+                    f"warning: {why}; the closed-form robustness (capped at "
+                    f"ceil(n/2)) {bounds} in this regime",
                     file=sys.stderr,
                 )
         return EXIT_REFUSED

@@ -278,6 +278,9 @@ def lambda2_bounds(spec: PlatoonSpec) -> tuple[float, float]:
 
 
 _UNVERIFIED = "closed-form, not verified exhaustively"
+# largest n for which robustness(P(n, k)) = k is checked exhaustively for
+# every k <= floor(n/2) (acceptance criterion 2)
+KNN_ROBUSTNESS_VERIFIED_N = 12
 
 
 @dataclass
@@ -325,16 +328,21 @@ def knn_closed_forms(spec: PlatoonSpec) -> ConnectivityReport:
     k(k+1) / (2 floor(n/2)) for k <= floor(n/2), with lambda2 from the
     eigensolver plus its analytic bracket.
 
-    The robustness and isoperimetric closed forms are only exhaustively
-    verified for k <= floor(n/2); beyond that they carry an 'unverified'
-    note and are upper bounds.  No n-vertex graph is more than
-    ceil(n/2)-robust, and P(9, 5) is only 4-robust; the front-half cut is one
-    candidate of the isoperimetric minimum (it gives the exact value on every
-    P(n, k) with n <= 14, but that is not proven beyond).
+    The robustness is exact, with no note, only where an exhaustive check
+    covers the pair: n <= KNN_ROBUSTNESS_VERIFIED_N and k <= floor(n/2).
+    Everywhere else it carries an 'unverified' note and is an upper bound: no
+    graph is more robust than its minimum degree k, and no n-vertex graph is
+    more than ceil(n/2)-robust.  Robustness = k fails past the table even for
+    k <= floor(n/2): P(14, 7), P(16, 8) and P(18, 9) are one short of k, and
+    P(9, 5) is only 4-robust.  The isoperimetric value carries the note for
+    k > floor(n/2), where the front-half cut is one candidate of the minimum
+    (it gives the exact value on every P(n, k) with n <= 14, but that is not
+    proven beyond).
     """
     n, k = spec.n, spec.k
     nbar = n // 2
-    note = None if k <= nbar else _UNVERIFIED
+    robustness_note = None if n <= KNN_ROBUSTNESS_VERIFIED_N and k <= nbar else _UNVERIFIED
+    iso_note = None if k <= nbar else _UNVERIFIED
     # vehicle i < nbar reaches i+1..min(n-1, i+k), of which those >= nbar cross
     cut = sum(max(0, min(n - 1, i + k) - nbar + 1) for i in range(nbar))
     g = build_knn_platoon(spec)
@@ -344,9 +352,9 @@ def knn_closed_forms(spec: PlatoonSpec) -> ConnectivityReport:
         edge_conn=k,
         lambda2=algebraic_connectivity(g),
         robustness=min(k, (n + 1) // 2),
-        robustness_note=note,
+        robustness_note=robustness_note,
         iso=Fraction(cut, nbar),
-        iso_note=note,
+        iso_note=iso_note,
         lambda2_bounds=lambda2_bounds(spec),
     )
 

@@ -95,6 +95,17 @@ def test_analyze_refusal_caps_closed_form_robustness(tmp_path, capsys):
     assert "warning: k > floor(n/2)" in err
 
 
+def test_analyze_refusal_warns_past_the_robustness_table(tmp_path, capsys):
+    # k = floor(n/2), but n = 30 lies past the exhaustive table, where
+    # robustness = k already fails at P(14, 7)
+    code = main(["analyze", "--platoon", "30,15", "--robustness", "--out", str(tmp_path)])
+    assert code == 3
+    err = capsys.readouterr().err
+    assert "robustness=15," in err
+    assert "warning: n > 12; the closed-form robustness" in err
+    assert "is only an upper bound" in err
+
+
 def test_analyze_limit_override_can_refuse_small(tmp_path, capsys):
     code = main(
         ["analyze", "--platoon", "10,3", "--robustness", "--exhaustive-limit", "8",
@@ -387,12 +398,18 @@ def test_column_writers_match_csv_and_json_dump(tmp_path, monkeypatch, chunk_row
     assert "NaN" in want_text and "Infinity" in want_text and "nan" not in want_text
 
 
-def test_cli_import_leaves_jsonschema_unloaded():
-    code = "import sys, platoonnet.cli; print('jsonschema' in sys.modules)"
+def test_cli_import_leaves_jsonschema_unloaded(tmp_path):
+    # neither importing the CLI nor validating a scenario loads jsonschema
+    runs = [["estimate", "--scenario", str(SCENARIOS / "estimation-single-fault.json")],
+            ["consensus", "--scenario", str(SCENARIOS / "consensus-ramp-tolerated.json")],
+            ["formation", "--config", str(SCENARIOS / "formation-worst-case.json")]]
+    code = ("import sys, platoonnet.cli as cli; print('jsonschema' in sys.modules, file=sys.stderr); "
+            f"codes = [cli.main(argv + ['--out', {str(tmp_path)!r}]) for argv in {runs!r}]; "
+            "print(codes, 'jsonschema' in sys.modules, file=sys.stderr)")
     src = str(Path(__file__).resolve().parent.parent / "src")
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True,
                          env={"PYTHONPATH": src, "PATH": ""})
-    assert out.stdout.strip() == "False"
+    assert out.stderr.splitlines() == ["False", "[0, 0, 0] False"]
 
 
 def test_cli_import_leaves_importlib_metadata_unloaded():

@@ -319,3 +319,33 @@ def test_knn_closed_forms_and_caveat():
     assert rep.iso == Fraction(13, 3)  # front-half cut: 26 edges over 6 vehicles
     assert rep.robustness_note == "closed-form, not verified exhaustively"
     assert rep.iso_note == rep.robustness_note
+
+
+# P(n, k) with k <= floor(n/2) past the exhaustive table that are less than
+# k-robust, each with a witness: two disjoint subsets in which no vertex has
+# k neighbors outside its own set.
+ROBUSTNESS_BELOW_K = {
+    (14, 7): ([2, 3, 4, 9, 10, 11], [0, 1, 5, 6, 7, 8, 12, 13]),
+    (16, 8): ([2, 3, 4, 5, 10, 11, 12], [0, 1, 6, 7, 8, 9, 13, 14, 15]),
+    (18, 9): ([2, 3, 4, 5, 6, 11, 12, 13], [0, 1, 7, 8, 9, 10, 14, 15, 16, 17]),
+}
+
+
+def test_knn_closed_form_robustness_is_flagged_past_the_table():
+    unverified = "closed-form, not verified exhaustively"
+    for (n, k), (s1, s2) in ROBUSTNESS_BELOW_K.items():
+        g = build_knn_platoon(PlatoonSpec(n, k))
+        assert not set(s1) & set(s2)
+        assert not is_r_reachable(g, s1, k) and not is_r_reachable(g, s2, k), (n, k)
+        rep = knn_closed_forms(PlatoonSpec(n, k))
+        assert rep.robustness == k and rep.robustness_note == unverified, (n, k)
+        assert rep.iso_note is None  # the isoperimetric note still follows k > floor(n/2)
+    rep = knn_closed_forms(PlatoonSpec(30, 15))
+    assert rep.robustness == 15 and rep.robustness_note == unverified
+    assert knn_closed_forms(PlatoonSpec(13, 1)).robustness_note == unverified
+    # no note exactly where the exhaustive table covers the pair
+    for n in range(2, 13):
+        for k in range(1, n):
+            assert (knn_closed_forms(PlatoonSpec(n, k)).robustness_note is None) == (k <= n // 2)
+    for n in (2, 3):  # below acceptance criterion 2's range
+        assert robustness(build_knn_platoon(PlatoonSpec(n, 1))) == 1

@@ -3,120 +3,92 @@
 Covers structural connectivity and robustness measures, fault-tolerant
 initial-state recovery, resilient trimmed-average consensus, and
 double-integrator formation control with worst-case disturbance gains.
+
+The public names below are imported from their submodule on first access
+(PEP 562), so `import platoonnet` loads none of the submodules, and
+`platoonnet.run_wmsr` loads `platoonnet.consensus` and the `graph` module
+it builds on, nothing else.
 """
 
-from .connectivity import (
-    ConnectivityReport,
-    ExhaustiveLimitError,
-    algebraic_connectivity,
-    connectivity_report,
-    edge_connectivity,
-    is_connected,
-    isoperimetric_constant,
-    knn_closed_forms,
-    lambda2_bounds,
-    robustness,
-    vertex_connectivity,
-)
-from .consensus import (
-    Adversary,
-    Constant,
-    ConsensusTrace,
-    Ramp,
-    SeededRandom,
-    Sinusoid,
-    is_f_local,
-    run_wmsr,
-    wmsr_update,
-)
-from .estimation import (
-    FaultScenario,
-    MeasurementTrace,
-    ModelMismatchError,
-    RecoveryResult,
-    WeightMatrix,
-    max_tolerable_faults,
-    observation_model,
-    observe,
-    packet_drop_scenario,
-    random_weights,
-    recover_initial_state,
-    simulate_faulty,
-)
-from .formation import (
-    Disturbance,
-    FormationSystem,
-    FormationTrace,
-    HinfReport,
-    build_formation,
-    hinf_closed_form,
-    hinf_grid,
-    hinf_report,
-    hinf_sweep,
-    simulate_formation,
-)
-from .graph import (
-    Graph,
-    GraphFormatError,
-    PlatoonSpec,
-    build_knn_platoon,
-    incidence,
-    laplacian,
-    load_graph,
-    save_graph,
-)
+from importlib import import_module
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "Adversary",
-    "ConnectivityReport",
-    "ConsensusTrace",
-    "Constant",
-    "Disturbance",
-    "ExhaustiveLimitError",
-    "FaultScenario",
-    "FormationSystem",
-    "FormationTrace",
-    "Graph",
-    "GraphFormatError",
-    "HinfReport",
-    "MeasurementTrace",
-    "ModelMismatchError",
-    "PlatoonSpec",
-    "Ramp",
-    "RecoveryResult",
-    "SeededRandom",
-    "Sinusoid",
-    "WeightMatrix",
-    "algebraic_connectivity",
-    "build_formation",
-    "build_knn_platoon",
-    "connectivity_report",
-    "edge_connectivity",
-    "hinf_closed_form",
-    "hinf_grid",
-    "hinf_report",
-    "hinf_sweep",
-    "incidence",
-    "is_connected",
-    "is_f_local",
-    "isoperimetric_constant",
-    "knn_closed_forms",
-    "lambda2_bounds",
-    "laplacian",
-    "load_graph",
-    "max_tolerable_faults",
-    "observation_model",
-    "observe",
-    "packet_drop_scenario",
-    "random_weights",
-    "recover_initial_state",
-    "robustness",
-    "run_wmsr",
-    "save_graph",
-    "simulate_faulty",
-    "simulate_formation",
-    "vertex_connectivity",
-    "wmsr_update",
-]
+_EXPORTS = {
+    "connectivity": (
+        "ConnectivityReport",
+        "ExhaustiveLimitError",
+        "algebraic_connectivity",
+        "connectivity_report",
+        "edge_connectivity",
+        "is_connected",
+        "isoperimetric_constant",
+        "knn_closed_forms",
+        "robustness",
+        "vertex_connectivity",
+    ),
+    "consensus": (
+        "Adversary",
+        "Constant",
+        "ConsensusTrace",
+        "Ramp",
+        "SeededRandom",
+        "Sinusoid",
+        "is_f_local",
+        "run_wmsr",
+        "wmsr_update",
+    ),
+    "estimation": (
+        "FaultScenario",
+        "MeasurementTrace",
+        "ModelMismatchError",
+        "RecoveryResult",
+        "WeightMatrix",
+        "max_tolerable_faults",
+        "observation_model",
+        "observe",
+        "packet_drop_scenario",
+        "random_weights",
+        "recover_initial_state",
+        "simulate_faulty",
+    ),
+    "formation": (
+        "Disturbance",
+        "FormationSystem",
+        "FormationTrace",
+        "HinfReport",
+        "build_formation",
+        "hinf_closed_form",
+        "hinf_grid",
+        "hinf_report",
+        "hinf_sweep",
+        "simulate_formation",
+    ),
+    "graph": (
+        "Graph",
+        "GraphFormatError",
+        "PlatoonSpec",
+        "build_knn_platoon",
+        "incidence",
+        "lambda2_bounds",
+        "laplacian",
+        "load_graph",
+        "save_graph",
+    ),
+}
+_MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}
+
+__all__ = sorted(_MODULE_OF)
+
+
+def __getattr__(name: str):
+    module = _MODULE_OF.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(import_module(f"{__name__}.{module}"), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted(set(globals()) | set(__all__))

@@ -22,38 +22,47 @@ import hashlib
 import json
 import math
 import sys
+from importlib import import_module
 from pathlib import Path
 
 import numpy as np
 
 from . import __version__
-from .connectivity import (
-    ExhaustiveLimitError,
-    ISO_LIMIT,
-    KNN_ROBUSTNESS_VERIFIED_N,
-    ROBUSTNESS_LIMIT,
-    connectivity_report,
-    knn_closed_forms,
-)
-from .consensus import Adversary, Constant, Ramp, SeededRandom, Sinusoid, is_f_local, run_wmsr
-from .estimation import (
-    FaultScenario,
-    ModelMismatchError,
-    observe,
-    random_weights,
-    recover_initial_state,
-    simulate_faulty,
-)
-from .formation import (
-    Disturbance,
-    build_formation,
-    hinf_closed_form,
-    hinf_grid,
-    hinf_sweep,
-    modal_peak_frequency,
-    simulate_formation,
-)
 from .graph import Graph, GraphFormatError, PlatoonSpec, build_knn_platoon, load_graph
+
+# The names each subcommand uses from its domain module.  A module is
+# imported when its subcommand first runs (or when an outside lookup such as
+# `cli.run_wmsr` asks for one of its names), so a job loads only its own
+# code.  The names are bound as globals of this module, where the
+# subcommands look them up and where a caller may replace them.
+_IMPORTS = {
+    "connectivity": ("ExhaustiveLimitError", "ISO_LIMIT", "KNN_ROBUSTNESS_VERIFIED_N",
+                     "ROBUSTNESS_LIMIT", "connectivity_report", "knn_closed_forms"),
+    "consensus": ("Adversary", "Constant", "Ramp", "SeededRandom", "Sinusoid", "is_f_local",
+                  "run_wmsr"),
+    "estimation": ("FaultScenario", "ModelMismatchError", "observe", "random_weights",
+                   "recover_initial_state", "simulate_faulty"),
+    "formation": ("Disturbance", "build_formation", "hinf_closed_form", "hinf_grid",
+                  "modal_peak_frequency", "simulate_formation"),
+}
+_MODULE_OF = {name: module for module, names in _IMPORTS.items() for name in names}
+
+
+def _bind(module: str) -> None:
+    """Import platoonnet.<module> and bind the names _IMPORTS lists for it,
+    keeping any name already bound here (a replaced name stays replaced)."""
+    mod = import_module(f"{__package__}.{module}")
+    for name in _IMPORTS[module]:
+        globals().setdefault(name, getattr(mod, name))
+
+
+def __getattr__(name: str):
+    module = _MODULE_OF.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    _bind(module)
+    return globals()[name]
+
 
 EXIT_OK = 0
 EXIT_VALIDATION = 2
@@ -261,12 +270,30 @@ def _first_error(value, schema: dict, path: tuple = ()) -> tuple[tuple, str] | N
     return None
 
 
+def _invalid(what: str, path: tuple, message: str) -> ValidationFailure:
+    pointer = "/" + "/".join(str(p) for p in path)
+    return ValidationFailure(f"{what}: invalid at {pointer}: {message}")
+
+
 def _validate_schema(data, schema, what: str) -> None:
     error = _first_error(data, schema)
     if error is not None:
-        path, message = error
-        pointer = "/" + "/".join(str(p) for p in path)
-        raise ValidationFailure(f"{what}: invalid at {pointer}: {message}")
+        raise _invalid(what, *error)
+
+
+def _check_finite(data, what: str) -> None:
+    """Reject NaN and +-Infinity anywhere in a parsed document, reporting the
+    first in the order of _first_error.  JSON Schema's `number` admits them,
+    and no field of a scenario or config has a meaning for them."""
+    stack = [((), data)]
+    while stack:  # depth-first, children pushed last-first
+        path, value = stack.pop()
+        if isinstance(value, float) and not math.isfinite(value):
+            raise _invalid(what, path, f"{json.dumps(value)} is not a finite number")
+        if isinstance(value, dict):
+            stack.extend((path + (key,), value[key]) for key in sorted(value, reverse=True))
+        elif isinstance(value, list):
+            stack.extend((path + (i,), value[i]) for i in reversed(range(len(value))))
 
 
 def _load_json(path: str, what: str):
@@ -279,6 +306,17 @@ def _load_json(path: str, what: str):
         raise ValidationFailure(
             f"{what}: malformed JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}"
         )
+    except RecursionError:
+        raise ValidationFailure(f"{what}: JSON nested too deeply to parse: {path}")
+
+
+def _load_document(path: str, schema: dict, what: str):
+    """A scenario or config file, parsed and checked: it matches its schema
+    and every number in it is finite."""
+    data = _load_json(path, what)
+    _validate_schema(data, schema, what)
+    _check_finite(data, what)
+    return data
 
 
 def _resolve_graph(spec, base_dir: Path) -> tuple[Graph, PlatoonSpec | None]:
@@ -440,6 +478,7 @@ def _parse_range(text: str) -> list[int]:
 
 
 def cmd_analyze(args) -> int:
+    _bind("connectivity")
     if (args.platoon is None) == (args.graph is None):
         raise ValidationFailure("analyze needs exactly one of --platoon or --graph")
     robust_limit = args.exhaustive_limit if args.exhaustive_limit else ROBUSTNESS_LIMIT
@@ -523,8 +562,8 @@ def cmd_analyze(args) -> int:
 
 
 def load_estimation_scenario(path: str, seed_override: int | None = None):
-    data = _load_json(path, "scenario")
-    _validate_schema(data, ESTIMATE_SCHEMA, "scenario")
+    _bind("estimation")
+    data = _load_document(path, ESTIMATE_SCHEMA, "scenario")
     g, _ = _resolve_graph(data["graph"], Path(path).parent)
     seed = int(data["seed"]) if seed_override is None else int(seed_override)
     horizon = int(data.get("horizon", g.n))
@@ -557,6 +596,7 @@ def scenario_x0(seed: int, n: int, low: float, high: float) -> np.ndarray:
 
 
 def cmd_estimate(args) -> int:
+    _bind("estimation")
     g, seed, scenario, observer, f = load_estimation_scenario(args.scenario, args.seed)
     config = {
         "command": "estimate",
@@ -616,6 +656,10 @@ def _build_strategy(entry: dict, scenario_seed: int):
                 + (f"missing params {missing} " if missing else "")
                 + (f"unknown params {unknown}" if unknown else "")
             )
+        for name in names:
+            if not _is_number(params[name]):
+                raise ValidationFailure(f"strategy {kind!r} for vehicle {vehicle}: param "
+                                        f"{name!r} must be a number, got {json.dumps(params[name])}")
 
     if kind == "constant":
         need("value")
@@ -635,8 +679,8 @@ def _build_strategy(entry: dict, scenario_seed: int):
 
 
 def load_consensus_scenario(path: str, seed_override: int | None = None):
-    data = _load_json(path, "scenario")
-    _validate_schema(data, CONSENSUS_SCHEMA, "scenario")
+    _bind("consensus")
+    data = _load_document(path, CONSENSUS_SCHEMA, "scenario")
     g, _ = _resolve_graph(data["graph"], Path(path).parent)
     seed = int(data["seed"]) if seed_override is None else int(seed_override)
     adversaries = []
@@ -650,6 +694,7 @@ def load_consensus_scenario(path: str, seed_override: int | None = None):
 
 
 def cmd_consensus(args) -> int:
+    _bind("consensus")
     g, seed, adversaries, f, T, tol = load_consensus_scenario(args.scenario, args.seed)
     config = {
         "command": "consensus",
@@ -697,8 +742,8 @@ def cmd_consensus(args) -> int:
 
 
 def load_formation_config(path: str):
-    data = _load_json(path, "config")
-    _validate_schema(data, FORMATION_SCHEMA, "config")
+    _bind("formation")
+    data = _load_document(path, FORMATION_SCHEMA, "config")
     g, _ = _resolve_graph(data["graph"], Path(path).parent)
     system = build_formation(g, data["kp"], data["ku"], data.get("d0", 10.0))
     T = float(data.get("T", 10.0))
@@ -745,6 +790,7 @@ def _build_disturbance(system, cfg: dict):
 
 
 def cmd_formation(args) -> int:
+    _bind("formation")
     system, T, h, record_every, dist_cfg = load_formation_config(args.config)
     disturbance, resolved = _build_disturbance(system, dist_cfg)
     config = {
@@ -814,6 +860,7 @@ def cmd_formation(args) -> int:
 
 
 def cmd_sweep(args) -> int:
+    _bind("formation")
     n_values = _parse_range(args.n)
     k_values = _parse_range(args.k)
     pairs = [(n, k) for n in n_values for k in k_values if 1 <= k <= n - 1]
@@ -893,7 +940,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="require the exhaustive isoperimetric computation")
     p.add_argument("--exhaustive-limit", type=int, default=None,
                    help="override both exhaustive size limits "
-                        f"(defaults: robustness {ROBUSTNESS_LIMIT}, isoperimetric {ISO_LIMIT})")
+                        "(defaults: robustness 14, isoperimetric 22)")
     common(p)
     p.set_defaults(func=cmd_analyze, default_format="json")
 
@@ -940,9 +987,6 @@ def main(argv=None) -> int:
     except (GraphFormatError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
-    except ExhaustiveLimitError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_REFUSED
 
 
 if __name__ == "__main__":

@@ -16,7 +16,16 @@ from fractions import Fraction
 
 import numpy as np
 
-from .graph import Graph, PlatoonSpec, build_knn_platoon, components, degrees, laplacian, neighbors
+from .graph import (
+    Graph,
+    PlatoonSpec,
+    build_knn_platoon,
+    components,
+    degrees,
+    lambda2_bounds,
+    laplacian,
+    neighbors,
+)
 
 ROBUSTNESS_LIMIT = 14
 ISO_LIMIT = 22
@@ -261,20 +270,6 @@ def algebraic_connectivity(g: Graph) -> float:
         return 0.0
     w = np.linalg.eigvalsh(laplacian(g).astype(np.float64))
     return float(w[1])
-
-
-def lambda2_bounds(spec: PlatoonSpec) -> tuple[float, float]:
-    """Analytic bracket for the algebraic connectivity of P(n, k):
-
-        max{2k - n + 2, k(k+1)^2 / (16 nbar^2)}  <=  lambda2  <=  2k(k+1)/nbar
-
-    with nbar = floor(n/2).
-    """
-    n, k = spec.n, spec.k
-    nbar = n // 2
-    lower = max(float(2 * k - n + 2), k * (k + 1) ** 2 / (16.0 * nbar * nbar))
-    upper = 2.0 * k * (k + 1) / nbar
-    return lower, upper
 
 
 _UNVERIFIED = "closed-form, not verified exhaustively"

@@ -182,6 +182,16 @@ def _translation_free_basis(g: Graph) -> np.ndarray:
     return q[:, len(comps):]
 
 
+def _distinct(values: np.ndarray) -> np.ndarray:
+    """The distinct entries of a 1-D array in ascending order, as np.unique
+    gives them.  np.unique itself imports numpy.ma, ~12 ms that no other part
+    of a sweep job needs."""
+    values = np.sort(values)
+    keep = np.ones(values.size, dtype=bool)
+    keep[1:] = values[1:] != values[:-1]
+    return values[keep]
+
+
 def hinf_sweep(system: FormationSystem, output: np.ndarray | None = None) -> SweepResult:
     """Numerical worst-case gain sup_w sigma_max(C (jwI - A)^{-1} F) by the
     level-set iteration of Bruinsma & Steinbuch (Syst. Control Lett. 1990).
@@ -243,7 +253,7 @@ def hinf_sweep(system: FormationSystem, output: np.ndarray | None = None) -> Swe
         axis = np.sort(eig.imag[np.abs(eig.real) <= _AXIS_TOL * np.linalg.norm(ham, 1)])
         if axis.size == 0:
             return SweepResult(value=best, frequency=freq, grid_points=evaluations)
-        for w in np.unique(np.abs(axis[:-1] + axis[1:]) / 2.0):
+        for w in _distinct(np.abs(axis[:-1] + axis[1:]) / 2.0):
             value = sigma_max(float(w))
             if value > best:
                 best, freq = value, float(w)
@@ -425,8 +435,7 @@ class HinfGridRow:
 def hinf_grid(n_values, k_values, kp: float, ku: float, spot_check=()) -> list[HinfGridRow]:
     """Closed-form gain surface over platoon sizes and neighbor ranges,
     with numerical sweep spot-checks on the requested (n, k) subset."""
-    from .connectivity import lambda2_bounds
-    from .graph import PlatoonSpec, build_knn_platoon
+    from .graph import PlatoonSpec, build_knn_platoon, lambda2_bounds
 
     spots = {(int(a), int(b)) for a, b in spot_check}
     rows = []

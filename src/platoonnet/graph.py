@@ -139,6 +139,20 @@ def build_knn_platoon(spec: PlatoonSpec) -> Graph:
     return Graph(n, tuple(edges))
 
 
+def lambda2_bounds(spec: PlatoonSpec) -> tuple[float, float]:
+    """Analytic bracket for the algebraic connectivity of P(n, k):
+
+        max{2k - n + 2, k(k+1)^2 / (16 nbar^2)}  <=  lambda2  <=  2k(k+1)/nbar
+
+    with nbar = floor(n/2).
+    """
+    n, k = spec.n, spec.k
+    nbar = n // 2
+    lower = max(float(2 * k - n + 2), k * (k + 1) ** 2 / (16.0 * nbar * nbar))
+    upper = 2.0 * k * (k + 1) / nbar
+    return lower, upper
+
+
 def adjacency(g: Graph) -> np.ndarray:
     """Symmetric 0/1 adjacency matrix with zero diagonal (int64)."""
     return g._adjacency.copy()
@@ -236,6 +250,8 @@ def load_graph(path) -> Graph:
         raise GraphFormatError(
             f"{path}: malformed JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}"
         ) from exc
+    except RecursionError:
+        raise GraphFormatError(f"{path}: JSON nested too deeply to parse") from None
     if not isinstance(data, dict) or "n" not in data or "edges" not in data:
         raise GraphFormatError(f"{path}: expected an object with 'n' and 'edges'")
     raw = data["edges"]

@@ -1,4 +1,5 @@
 import csv
+import importlib
 import io
 import json
 import subprocess
@@ -182,6 +183,25 @@ def test_estimate_scenario_validation_errors(tmp_path, capsys):
     assert "observer cannot be" in capsys.readouterr().err
 
 
+def test_estimate_rejects_non_finite_numbers(tmp_path, capsys):
+    bad = tmp_path / "bad.json"
+    scenario = json.loads((SCENARIOS / "estimation-single-fault.json").read_text())
+    scenario["phi"][3][2] = float("nan")
+    bad.write_text(json.dumps(scenario))
+    assert main(["estimate", "--scenario", str(bad), "--out", str(tmp_path)]) == 2
+    assert "invalid at /phi/3/2: NaN is not a finite number" in capsys.readouterr().err
+    assert not (tmp_path / "manifest.json").exists()
+
+
+def test_deeply_nested_json_is_a_validation_error(tmp_path, capsys):
+    deep = tmp_path / "deep.json"
+    deep.write_text("[" * 100_000)
+    assert main(["estimate", "--scenario", str(deep)]) == 2
+    assert "scenario: JSON nested too deeply" in capsys.readouterr().err
+    assert main(["analyze", "--graph", str(deep)]) == 2
+    assert "JSON nested too deeply" in capsys.readouterr().err
+
+
 def test_malformed_scenario_json_reports_position(tmp_path, capsys):
     bad = tmp_path / "broken.json"
     bad.write_text('{\n  "graph": {"platoon": [10, 3]},\n  "seed": 1,\n}')
@@ -269,6 +289,31 @@ def test_consensus_strategy_param_validation(tmp_path, capsys):
     }))
     assert main(["consensus", "--scenario", str(bad)]) == 2
     assert "/adversaries/0" in capsys.readouterr().err
+    # params is a free-form object in the schema, so the loader checks that
+    # each value is a number: not a list, not a string float() would accept
+    for value in ([1, 2], "NaN", True):
+        bad.write_text(json.dumps({
+            "graph": {"platoon": [8, 2]}, "seed": 1, "f": 1,
+            "adversaries": [{"vehicle": 2, "strategy": "constant", "params": {"value": value}}],
+        }))
+        assert main(["consensus", "--scenario", str(bad), "--out", str(tmp_path)]) == 2
+        assert "param 'value' must be a number" in capsys.readouterr().err
+
+
+def test_consensus_rejects_non_finite_numbers(tmp_path, capsys):
+    bad = tmp_path / "bad.json"
+    scenario = json.loads((SCENARIOS / "consensus-ramp-tolerated.json").read_text())
+    scenario["tol"] = float("nan")
+    bad.write_text(json.dumps(scenario))
+    assert main(["consensus", "--scenario", str(bad), "--out", str(tmp_path)]) == 2
+    assert "invalid at /tol: NaN is not a finite number" in capsys.readouterr().err
+    scenario["tol"] = 1e-9
+    scenario["adversaries"][0]["params"]["slope"] = float("inf")
+    bad.write_text(json.dumps(scenario))
+    assert main(["consensus", "--scenario", str(bad), "--out", str(tmp_path)]) == 2
+    assert ("invalid at /adversaries/0/params/slope: Infinity is not a finite number"
+            in capsys.readouterr().err)
+    assert not (tmp_path / "manifest.json").exists()
 
 
 # --------------------------------------------------------------- formation
@@ -322,6 +367,25 @@ def test_formation_validation(tmp_path, capsys):
     assert "/h" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("key, value, pointer", [
+    ("kp", float("nan"), "/kp"),
+    ("T", float("inf"), "/T"),
+    ("h", float("-inf"), "/h"),
+    ("disturbance", {"kind": "sinusoid", "amplitude": 1.0, "phase": float("nan")},
+     "/disturbance/phase"),
+])
+def test_formation_rejects_non_finite_numbers(tmp_path, capsys, key, value, pointer):
+    # the schema admits these (JSON Schema's `number` includes NaN and
+    # +-Infinity); a NaN gain would write NaN traces, T = Infinity overflow
+    bad = tmp_path / "bad.json"
+    config = json.loads((SCENARIOS / "formation-worst-case.json").read_text())
+    config[key] = value
+    bad.write_text(json.dumps(config))
+    assert main(["formation", "--config", str(bad), "--out", str(tmp_path)]) == 2
+    assert f"config: invalid at {pointer}: " in capsys.readouterr().err
+    assert not (tmp_path / "manifest.json").exists()
+
+
 # ------------------------------------------------------------------- sweep
 
 
@@ -364,6 +428,17 @@ def test_help_and_unknown_flags():
     assert exc.value.code == 2
 
 
+def test_exhaustive_limit_help_names_the_default_limits(capsys):
+    # the numbers are written into the help text so that `--help` does not
+    # import the connectivity module
+    from platoonnet.connectivity import ISO_LIMIT, ROBUSTNESS_LIMIT
+
+    with pytest.raises(SystemExit):
+        main(["analyze", "--help"])
+    text = " ".join(capsys.readouterr().out.split())
+    assert f"(defaults: robustness {ROBUSTNESS_LIMIT}, isoperimetric {ISO_LIMIT})" in text
+
+
 # ----------------------------------------------------------------- writers
 
 TRICKY_FLOATS = [-0.0, 5e-324, 1e16, 0.1 + 0.2, float("nan"), float("inf"), float("-inf"), 2.5]
@@ -398,6 +473,14 @@ def test_column_writers_match_csv_and_json_dump(tmp_path, monkeypatch, chunk_row
     assert "NaN" in want_text and "Infinity" in want_text and "nan" not in want_text
 
 
+def fresh_python(code: str, cwd=None) -> list[str]:
+    """stderr lines of `code` run in a new interpreter on this checkout's sources."""
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True,
+                         env={"PYTHONPATH": src, "PATH": ""}, cwd=cwd)
+    return out.stderr.splitlines()
+
+
 def test_cli_import_leaves_jsonschema_unloaded(tmp_path):
     # neither importing the CLI nor validating a scenario loads jsonschema
     runs = [["estimate", "--scenario", str(SCENARIOS / "estimation-single-fault.json")],
@@ -406,19 +489,69 @@ def test_cli_import_leaves_jsonschema_unloaded(tmp_path):
     code = ("import sys, platoonnet.cli as cli; print('jsonschema' in sys.modules, file=sys.stderr); "
             f"codes = [cli.main(argv + ['--out', {str(tmp_path)!r}]) for argv in {runs!r}]; "
             "print(codes, 'jsonschema' in sys.modules, file=sys.stderr)")
-    src = str(Path(__file__).resolve().parent.parent / "src")
-    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True,
-                         env={"PYTHONPATH": src, "PATH": ""})
-    assert out.stderr.splitlines() == ["False", "[0, 0, 0] False"]
+    assert fresh_python(code) == ["False", "[0, 0, 0] False"]
 
 
 def test_cli_import_leaves_importlib_metadata_unloaded():
     code = ("import sys; before = 'importlib.metadata' in sys.modules; import platoonnet.cli; "
-            "print(before, 'importlib.metadata' in sys.modules)")
-    src = str(Path(__file__).resolve().parent.parent / "src")
-    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True,
-                         env={"PYTHONPATH": src, "PATH": ""})
-    assert out.stdout.strip() == "False False"
+            "print(before, 'importlib.metadata' in sys.modules, file=sys.stderr)")
+    assert fresh_python(code) == ["False False"]
+
+
+@pytest.mark.parametrize("argv, own", [
+    (["analyze", "--platoon", "8,2"], ["connectivity"]),
+    (["estimate", "--scenario", str(SCENARIOS / "estimation-single-fault.json")], ["estimation"]),
+    (["consensus", "--scenario", str(SCENARIOS / "consensus-ramp-tolerated.json")], ["consensus"]),
+    (["formation", "--config", str(SCENARIOS / "formation-worst-case.json")], ["formation"]),
+    (["sweep", "--n", "5:8", "--k", "1:3", "--kp", "5", "--ku", "10"], ["formation"]),
+    (["--help"], []),
+    (["analyze", "--help"], []),
+])
+def test_each_subcommand_imports_only_its_own_module(tmp_path, argv, own):
+    code = ("import json, sys\n"
+            "from platoonnet import cli\n"
+            "try:\n"
+            f"    code = cli.main({argv!r})\n"
+            "except SystemExit as exc:\n"
+            "    code = exc.code\n"
+            "loaded = sorted(m.split('.')[1] for m in sys.modules if m.startswith('platoonnet.'))\n"
+            "print(json.dumps([code, loaded, 'numpy.ma' in sys.modules]), file=sys.stderr)")
+    assert json.loads(fresh_python(code, cwd=tmp_path)[-1]) == [0, sorted(["cli", "graph", *own]),
+                                                                False]
+
+
+def test_cli_calls_a_name_replaced_before_its_subcommand_runs(tmp_path):
+    # how perfbench/tracing.py wraps the subcommands' calls: look the name up
+    # on the cli module (which imports its module), then replace it there
+    scenario = str(SCENARIOS / "consensus-ramp-tolerated.json")
+    code = ("import sys\n"
+            "from platoonnet import cli\n"
+            "calls = []\n"
+            "original = cli.run_wmsr\n"
+            "cli.run_wmsr = lambda *args, **kwargs: calls.append(1) or original(*args, **kwargs)\n"
+            f"code = cli.main(['consensus', '--scenario', {scenario!r}])\n"
+            "print(code, len(calls), hasattr(cli, 'no_such_name'), file=sys.stderr)")
+    assert fresh_python(code, cwd=tmp_path) == ["0 1 False"]
+
+
+def test_package_exports_resolve_to_their_modules():
+    assert fresh_python(
+        "import sys, platoonnet\n"
+        "print(sorted(m for m in sys.modules if m.startswith('platoonnet.')), file=sys.stderr)\n"
+        "platoonnet.run_wmsr\n"
+        "print(sorted(m for m in sys.modules if m.startswith('platoonnet.')), file=sys.stderr)"
+    ) == ["[]", "['platoonnet.consensus', 'platoonnet.graph']"]
+    for name in platoonnet.__all__:
+        obj = getattr(platoonnet, name)
+        assert obj.__module__.startswith("platoonnet.")
+        assert getattr(importlib.import_module(obj.__module__), name) is obj
+    namespace = {}
+    exec("from platoonnet import *", namespace)
+    assert sorted(set(namespace) - {"__builtins__"}) == platoonnet.__all__
+    with pytest.raises(AttributeError):
+        platoonnet.no_such_name
+    with pytest.raises(ImportError):
+        exec("from platoonnet import no_such_name", {})
 
 
 def test_manifest_version_is_the_project_version(tmp_path):

@@ -318,3 +318,26 @@ def test_hinf_grid_rows_and_spot_checks():
             assert abs(r.sweep_value - r.hinf) / r.hinf < 1e-3
         else:
             assert r.sweep_value is None
+
+
+def _bits(result) -> tuple:
+    return result.value.hex(), result.frequency.hex(), result.grid_points
+
+
+# (kp, ku): the README's gains, and those of the benchmark's sweep job, whose
+# shape (n in {8, 16}, k in {1, 3}) lies inside the grid below
+@pytest.mark.parametrize("kp, ku", [(5.0, 10.0), (2.0, 3.0)])
+def test_sweep_dedupe_matches_np_unique(monkeypatch, kp, ku):
+    rng = np.random.default_rng(5)
+    for values in ([], [1.5], [-0.0, 0.0, 0.0], rng.integers(0, 6, 40) / 4.0, rng.normal(size=30)):
+        values = np.asarray(values, dtype=float)
+        assert formation._distinct(values).tobytes() == np.unique(values).tobytes()
+
+    pairs = [(n, k) for n in range(2, 21) for k in range(1, 5) if k < n]
+    systems = [make_system(n, k, kp=kp, ku=ku) for n, k in pairs]
+    got = [_bits(hinf_sweep(s)) for s in systems]
+    grid = hinf_grid(range(2, 21), range(1, 5), kp, ku, spot_check=pairs)
+    monkeypatch.setattr(formation, "_distinct", np.unique)
+    assert got == [_bits(hinf_sweep(s)) for s in systems]
+    reference = hinf_grid(range(2, 21), range(1, 5), kp, ku, spot_check=pairs)
+    assert [r.sweep_value.hex() for r in grid] == [r.sweep_value.hex() for r in reference]

@@ -481,8 +481,8 @@ def cmd_analyze(args) -> int:
     _bind("connectivity")
     if (args.platoon is None) == (args.graph is None):
         raise ValidationFailure("analyze needs exactly one of --platoon or --graph")
-    robust_limit = args.exhaustive_limit if args.exhaustive_limit else ROBUSTNESS_LIMIT
-    iso_limit = args.exhaustive_limit if args.exhaustive_limit else ISO_LIMIT
+    robust_limit = ROBUSTNESS_LIMIT if args.exhaustive_limit is None else args.exhaustive_limit
+    iso_limit = ISO_LIMIT if args.exhaustive_limit is None else args.exhaustive_limit
 
     platoon = None
     if args.platoon is not None:
@@ -940,7 +940,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="require the exhaustive isoperimetric computation")
     p.add_argument("--exhaustive-limit", type=int, default=None,
                    help="override both exhaustive size limits "
-                        "(defaults: robustness 14, isoperimetric 22)")
+                        "(defaults: robustness 19, isoperimetric 22)")
     common(p)
     p.set_defaults(func=cmd_analyze, default_format="json")
 

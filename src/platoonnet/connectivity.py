@@ -2,10 +2,10 @@
 
 Four measures with independent computations: vertex and edge connectivity via
 unit-capacity max-flow (BFS augmentation), r-robustness and the isoperimetric
-constant by exhaustive subset search (exact, refused above a size limit), and
-algebraic connectivity from a dense symmetric eigensolver.  Closed-form values
-for the k-nearest-neighbor family P(n, k) are provided alongside so the two
-routes can be checked against each other.
+constant from tables over all 2^n vertex subsets (exact, refused above a size
+limit), and algebraic connectivity from a dense symmetric eigensolver.
+Closed-form values for the k-nearest-neighbor family P(n, k) are provided
+alongside so the two routes can be checked against each other.
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ from .graph import (
     neighbors,
 )
 
-ROBUSTNESS_LIMIT = 14
+ROBUSTNESS_LIMIT = 19
 ISO_LIMIT = 22
 
 
@@ -172,7 +172,7 @@ def is_r_reachable(g: Graph, S, r: int) -> bool:
     return False
 
 
-def _reach_table(g: Graph) -> list[int]:
+def _reach_table(g: Graph) -> np.ndarray:
     """reach[S] = max over v in S of |N(v) minus S| for every subset bitmask
     S of the vertices (0 for the empty set): one vector step per vertex over
     all 2^n subsets, keeping a running maximum over the subsets holding v."""
@@ -183,45 +183,43 @@ def _reach_table(g: Graph) -> list[int]:
         count = np.bitwise_count(outside & np.uint32(mask))
         count[(idx >> np.uint32(v)) & np.uint32(1) == 0] = 0
         np.maximum(reach, count, out=reach)
-    return reach.tolist()
+    return reach
+
+
+def _refuse_above(limit: int, n: int, measure: str) -> None:
+    if n > limit:
+        raise ExhaustiveLimitError(
+            f"exhaustive search refused: {measure} on n={n} exceeds limit {limit}"
+        )
 
 
 def robustness(g: Graph, limit: int = ROBUSTNESS_LIMIT) -> int:
     """Largest r such that every pair of nonempty disjoint subsets has an
-    r-reachable member, by exhaustive enumeration of subset pairs.
+    r-reachable member, exact in O(n 2^n).
 
-    Refuses graphs with n > limit (the search is exponential).  Disconnected
-    graphs yield 0; a single vertex reports the definitional cap ceil(n/2)=1
-    (there are no subset pairs to constrain it).
+    The pair (S1, S2) is scored max(reach[S1], reach[S2]), and for a fixed
+    S1 the best S2 is the least reach over the nonempty subsets of the
+    complement, h[V minus S1].  h is the subset minimum of reach, built by
+    one in-place minimum per vertex that folds each subset holding v onto
+    the subset without v; the empty set holds a sentinel above every reach.
+
+    Refuses graphs with n > limit (the tables hold 2^n entries).
+    Disconnected graphs yield 0; a single vertex reports the definitional
+    cap ceil(n/2)=1 (there are no subset pairs to constrain it).
     """
     n = g.n
-    if n > limit:
-        raise ExhaustiveLimitError(
-            f"exhaustive search refused: robustness on n={n} exceeds limit {limit}"
-        )
-    full = (1 << n) - 1
+    _refuse_above(limit, n, "robustness")
+    if n == 1:
+        return 1
     reach = _reach_table(g)
-
-    # min over pairs (S1, S2 subset of complement) of max(reach).  Seeded with
-    # ceil(n/2), which a half/half partition pair always attains for n >= 2,
-    # so pruning on the running best never changes the result.
-    best = (n + 1) // 2
-    for s1 in range(1, full):
-        r1 = reach[s1]
-        if r1 >= best:
-            continue
-        comp = full ^ s1
-        sub = comp
-        while sub:
-            r2 = reach[sub]
-            if r2 < best:
-                best = r1 if r1 > r2 else r2
-                if r1 >= best or best == 0:
-                    break
-            sub = (sub - 1) & comp
-        if best == 0:
-            break
-    return best
+    h = reach.copy()
+    h[0] = n  # reach never exceeds n - 1
+    for v in range(n):
+        blocks = h.reshape(-1, 2 << v)
+        np.minimum(blocks[:, 1 << v:], blocks[:, :1 << v], out=blocks[:, 1 << v:])
+    # S1 = 1 .. 2^n - 2 against its complement 2^n - 1 - S1 = 2^n - 2 .. 1
+    full = (1 << n) - 1
+    return int(np.maximum(reach[1:full], h[full - 1:0:-1]).min())
 
 
 def isoperimetric_constant(g: Graph, limit: int = ISO_LIMIT) -> tuple[Fraction, float]:
@@ -234,10 +232,7 @@ def isoperimetric_constant(g: Graph, limit: int = ISO_LIMIT) -> tuple[Fraction, 
     edge ends that now lie inside.
     """
     n = g.n
-    if n > limit:
-        raise ExhaustiveLimitError(
-            f"exhaustive search refused: isoperimetric constant on n={n} exceeds limit {limit}"
-        )
+    _refuse_above(limit, n, "isoperimetric constant")
     if n < 2:
         raise ValueError("isoperimetric constant requires n >= 2")
     total = 1 << n
@@ -328,11 +323,12 @@ def knn_closed_forms(spec: PlatoonSpec) -> ConnectivityReport:
     Everywhere else it carries an 'unverified' note and is an upper bound: no
     graph is more robust than its minimum degree k, and no n-vertex graph is
     more than ceil(n/2)-robust.  Robustness = k fails past the table even for
-    k <= floor(n/2): P(14, 7), P(16, 8) and P(18, 9) are one short of k, and
-    P(9, 5) is only 4-robust.  The isoperimetric value carries the note for
-    k > floor(n/2), where the front-half cut is one candidate of the minimum
-    (it gives the exact value on every P(n, k) with n <= 14, but that is not
-    proven beyond).
+    k <= floor(n/2): over n <= 22 the exhaustive value is k - 1 at P(14, 7),
+    P(16, 8), P(18, 9), P(19, 9), P(20, 10), P(21, 10), P(22, 10) and
+    P(22, 11), and P(9, 5) is only 4-robust.  The isoperimetric value carries
+    the note for k > floor(n/2), where the front-half cut is one candidate of
+    the minimum (it gives the exact value on every P(n, k) with n <= 14, but
+    that is not proven beyond).
     """
     n, k = spec.n, spec.k
     nbar = n // 2

@@ -12,7 +12,7 @@ import pytest
 import platoonnet
 from platoonnet import cli
 from platoonnet.cli import main
-from platoonnet.connectivity import connectivity_report
+from platoonnet.connectivity import ROBUSTNESS_LIMIT, connectivity_report
 from platoonnet.graph import PlatoonSpec, build_knn_platoon, save_graph
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
@@ -81,7 +81,7 @@ def test_analyze_refuses_large_exhaustive_with_fallback(tmp_path, capsys):
     code = main(["analyze", "--platoon", "30,4", "--robustness", "--out", str(tmp_path)])
     assert code == 3
     err = capsys.readouterr().err
-    assert "exceeds limit 14" in err
+    assert "exceeds limit 19" in err
     assert "robustness=4" in err and "iso=2/3" in err
     assert "closed-form, not verified exhaustively" in err
     assert not (tmp_path / "manifest.json").exists()  # refusal writes nothing
@@ -116,9 +116,25 @@ def test_analyze_limit_override_can_refuse_small(tmp_path, capsys):
     assert "exceeds limit 8" in capsys.readouterr().err
 
 
+def test_analyze_limit_zero_is_a_limit(tmp_path, capsys):
+    code = main(
+        ["analyze", "--platoon", "10,3", "--robustness", "--exhaustive-limit", "0",
+         "--out", str(tmp_path / "refused")]
+    )
+    assert code == 3
+    assert "exceeds limit 0" in capsys.readouterr().err
+    assert not (tmp_path / "refused").exists()
+    out = tmp_path / "skipped"
+    code = main(["analyze", "--platoon", "10,3", "--exhaustive-limit", "0", "--out", str(out)])
+    assert code == 0
+    report = json.loads(next(out.glob("analyze-*.json")).read_text())
+    assert report["robustness"] is None and report["isoperimetric"] is None
+    assert report["robustness_note"] == report["isoperimetric_note"] == "skipped: n too large"
+
+
 def test_analyze_refusal_without_platoon_has_no_closed_form(tmp_path, capsys):
     gpath = tmp_path / "big.json"
-    save_graph(build_knn_platoon(PlatoonSpec(16, 2)), gpath)
+    save_graph(build_knn_platoon(PlatoonSpec(ROBUSTNESS_LIMIT + 1, 2)), gpath)
     code = main(["analyze", "--graph", str(gpath), "--robustness", "--out", str(tmp_path)])
     assert code == 3
     err = capsys.readouterr().err

@@ -9,6 +9,7 @@ from helpers import (
     brute_force_robustness,
     brute_force_vertex_connectivity,
     edge_sum_isoperimetric,
+    pair_scan_robustness,
     random_connected_graph,
     random_graph,
 )
@@ -118,7 +119,7 @@ def test_reach_table_matches_scalar_formula():
         nb = g.neighbor_bitmasks
         want = [max(((nb[v] & ~s).bit_count() for v in range(g.n) if s >> v & 1), default=0)
                 for s in range(1 << g.n)]
-        assert _reach_table(g) == want, (g.n, g.edges)
+        assert _reach_table(g).tolist() == want, (g.n, g.edges)
 
 
 def test_vertex_connectivity_against_brute_force():
@@ -170,9 +171,18 @@ def test_r_reachable_examples():
 
 def test_robustness_against_brute_force():
     rng = np.random.default_rng(99)
-    for _ in range(25):
-        g = random_connected_graph(rng, n_min=3, n_max=7, avoid_complete=False)
-        assert robustness(g) == brute_force_robustness(g), g.edges
+    graphs = [Graph.from_edges(1, [])] + [random_graph(rng, n_min=2, n_max=9) for _ in range(60)]
+    for g in graphs:
+        assert robustness(g) == brute_force_robustness(g), (g.n, g.edges)
+    assert not all(is_connected(g) for g in graphs)
+
+
+def test_robustness_against_pair_scan():
+    rng = np.random.default_rng(2)
+    graphs = [random_graph(rng, n_min=1, n_max=12) for _ in range(300)]
+    graphs += [build_knn_platoon(PlatoonSpec(n, k)) for n in range(2, 15) for k in range(1, n)]
+    for g in graphs:
+        assert robustness(g) == pair_scan_robustness(g), (g.n, g.edges)
 
 
 def test_knn_robustness_beyond_half_against_brute_force():
@@ -299,11 +309,11 @@ def test_connectivity_report_full():
 
 
 def test_connectivity_report_skips_with_note():
-    g = build_knn_platoon(PlatoonSpec(16, 2))
+    g = build_knn_platoon(PlatoonSpec(ROBUSTNESS_LIMIT + 1, 2))
     rep = connectivity_report(g)
     assert rep.robustness is None
     assert rep.robustness_note == "skipped: n too large"
-    assert rep.iso is not None  # 16 <= iso limit
+    assert rep.iso is not None  # within the iso limit
     with pytest.raises(ExhaustiveLimitError):
         connectivity_report(g, require_robustness=True)
 
@@ -328,7 +338,39 @@ ROBUSTNESS_BELOW_K = {
     (14, 7): ([2, 3, 4, 9, 10, 11], [0, 1, 5, 6, 7, 8, 12, 13]),
     (16, 8): ([2, 3, 4, 5, 10, 11, 12], [0, 1, 6, 7, 8, 9, 13, 14, 15]),
     (18, 9): ([2, 3, 4, 5, 6, 11, 12, 13], [0, 1, 7, 8, 9, 10, 14, 15, 16, 17]),
+    (19, 9): ([3, 4, 5, 6, 12, 13, 14, 15], [0, 1, 2, 7, 8, 9, 10, 11, 16, 17, 18]),
+    (20, 10): ([2, 3, 4, 5, 6, 7, 12, 13, 14], [0, 1, 8, 9, 10, 11, 15, 16, 17, 18, 19]),
+    (21, 10): ([3, 4, 5, 6, 7, 13, 14, 15, 16], [0, 1, 2, 8, 9, 10, 11, 12, 17, 18, 19, 20]),
+    (22, 10): ([1, 2, 3, 8, 9, 10, 11, 12, 13, 18, 19, 20],
+               [0, 4, 5, 6, 7, 14, 15, 16, 17, 21]),
+    (22, 11): ([2, 3, 4, 5, 6, 7, 8, 13, 14, 15],
+               [0, 1, 9, 10, 11, 12, 16, 17, 18, 19, 20, 21]),
 }
+
+# exact robustness of P(n, k) for k = 1 .. n-1, past acceptance criterion 2's
+# table and up to the default limit
+KNN_ROBUSTNESS_ROWS = {
+    13: (1, 2, 3, 4, 5, 6, 6, 6, 7, 7, 7, 7),
+    14: (1, 2, 3, 4, 5, 6, 6, 7, 7, 7, 7, 7, 7),
+    15: (1, 2, 3, 4, 5, 6, 7, 7, 7, 8, 8, 8, 8, 8),
+    16: (1, 2, 3, 4, 5, 6, 7, 7, 8, 8, 8, 8, 8, 8, 8),
+    17: (1, 2, 3, 4, 5, 6, 7, 8, 8, 8, 8, 9, 9, 9, 9, 9),
+    18: (1, 2, 3, 4, 5, 6, 7, 8, 8, 8, 9, 9, 9, 9, 9, 9, 9),
+    19: (1, 2, 3, 4, 5, 6, 7, 8, 8, 9, 9, 9, 10, 10, 10, 10, 10, 10),
+}
+
+
+def test_knn_exact_robustness_past_the_table():
+    below = set()
+    for n, row in KNN_ROBUSTNESS_ROWS.items():
+        got = tuple(robustness(build_knn_platoon(PlatoonSpec(n, k))) for k in range(1, n))
+        assert got == row, n
+        below |= {(n, k) for k in range(1, n // 2 + 1) if row[k - 1] < k}
+    assert below == {cell for cell in ROBUSTNESS_BELOW_K if cell[0] <= ROBUSTNESS_LIMIT}
+    # past the default limit only the cells below k are pinned (full rows
+    # for n = 20..22 take ~20 s)
+    for n, k in (cell for cell in ROBUSTNESS_BELOW_K if cell[0] > ROBUSTNESS_LIMIT):
+        assert robustness(build_knn_platoon(PlatoonSpec(n, k)), limit=22) == k - 1, (n, k)
 
 
 def test_knn_closed_form_robustness_is_flagged_past_the_table():

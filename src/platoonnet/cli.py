@@ -9,9 +9,10 @@ formation  formation-control time response from a config
 sweep      closed-form disturbance-gain surface over (n, k)
 
 Every run writes `<command>-<hash-of-config>.<ext>` plus `manifest.json` into
---out (default: current directory).  Identical (config, seed) gives
-bitwise-identical outputs.  Exit codes: 0 success, 2 validation error,
-3 refused exhaustive computation.
+--out (default: current directory); a CSV formation run writes two files,
+`formation-<hash>-vehicles.csv` and `formation-<hash>-edges.csv`.  Identical
+(config, seed) gives bitwise-identical outputs.  Exit codes: 0 success,
+2 validation error, 3 refused exhaustive computation.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .graph import Graph, GraphFormatError, PlatoonSpec, build_knn_platoon, load_graph
+from .graph import Graph, PlatoonSpec, build_knn_platoon, load_graph
 
 # The names each subcommand uses from its domain module.  A module is
 # imported when its subcommand first runs (or when an outside lookup such as
@@ -319,18 +320,25 @@ def _load_document(path: str, schema: dict, what: str):
     return data
 
 
-def _resolve_graph(spec, base_dir: Path) -> tuple[Graph, PlatoonSpec | None]:
+def _resolve_graph(spec, base_dir: Path) -> Graph:
     """Graph from a scenario 'graph' entry: file path, inline, or platoon."""
     if isinstance(spec, str):
         path = Path(spec)
         if not path.is_absolute():
             path = base_dir / path
-        return load_graph(path), None
+        return load_graph(path)
     if "platoon" in spec:
-        n, k = spec["platoon"]
-        pl = PlatoonSpec(n, k)
-        return build_knn_platoon(pl), pl
-    return Graph.from_edges(spec["n"], spec["edges"]), None
+        return build_knn_platoon(PlatoonSpec(*spec["platoon"]))
+    return Graph.from_edges(spec["n"], spec["edges"])
+
+
+def _scenario_seed(data: dict, seed_override: int | None) -> int:
+    """The scenario's seed, or --seed when it is given."""
+    if seed_override is None:
+        return int(data["seed"])
+    if seed_override < 0:
+        raise ValidationFailure(f"--seed must be a non-negative integer, got {seed_override}")
+    return int(seed_override)
 
 
 def _config_hash(config: dict) -> str:
@@ -346,25 +354,48 @@ def _versions() -> dict:
     }
 
 
-def _write_manifest(outdir: Path, command: str, config: dict, seed, outputs: list[str], extra: dict | None = None) -> None:
-    manifest = {
-        "command": command,
-        "config": config,
-        "seed": seed,
-        "outputs": outputs,
-        "versions": _versions(),
-    }
-    if extra:
-        manifest["results"] = extra
-    with open(outdir / "manifest.json", "w", encoding="utf-8") as fh:
-        json.dump(manifest, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-
-
 def _write_json(path: Path, payload) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(payload, fh, indent=2, sort_keys=True)
         fh.write("\n")
+
+
+def _emit(args, config: dict, seed, files: dict, results: dict | None = None) -> int:
+    """Write a run's data files and its manifest into --out.
+
+    `files` maps a name suffix to the writer of that file, which is named
+    `<command>-<hash><suffix>`; the hash covers `config` together with the
+    command and the output format.
+    """
+    outdir = Path(args.out)
+    outdir.mkdir(parents=True, exist_ok=True)
+    config = {**config, "command": args.command, "format": args.format}
+    stem = f"{args.command}-{_config_hash(config)}"
+    names = []
+    for suffix, write in files.items():
+        names.append(stem + suffix)
+        write(outdir / names[-1])
+    manifest = {
+        "command": args.command,
+        "config": config,
+        "seed": seed,
+        "outputs": names,
+        "versions": _versions(),
+    }
+    if results is not None:
+        manifest["results"] = results
+    _write_json(outdir / "manifest.json", manifest)
+    for name in names:
+        print(f"wrote {outdir / name}")
+    return EXIT_OK
+
+
+def _table(fmt: str, header: list[str], columns, suffix: str = "") -> dict:
+    """An `_emit` file entry for a table of equal-length columns: CSV, or a
+    JSON list of one record per row."""
+    if fmt == "csv":
+        return {f"{suffix}.csv": lambda path: _write_csv(path, header, columns)}
+    return {f"{suffix}.json": lambda path: _write_json_records(path, dict(zip(header, columns)))}
 
 
 # Traces are written a chunk of rows at a time, column by column, so that
@@ -373,12 +404,15 @@ _CHUNK_ROWS = 4096
 
 
 def _cells(part) -> list:
-    return part.tolist() if isinstance(part, np.ndarray) else list(part)
+    if not isinstance(part, np.ndarray):
+        return list(part)
+    return (part.astype(np.int64) if part.dtype.kind == "b" else part).tolist()
 
 
 def _write_csv(path: Path, header: list[str], columns) -> None:
     """CSV of equal-length columns (numpy arrays or sequences); the same
-    bytes as csv.writer fed one row at a time."""
+    bytes as csv.writer fed one row at a time, except that boolean arrays
+    are spelled 0 and 1."""
     rows = len(columns[0])
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
@@ -494,12 +528,10 @@ def cmd_analyze(args) -> int:
         graph_cfg = args.graph
 
     config = {
-        "command": "analyze",
         "graph": graph_cfg,
         "robustness": bool(args.robustness),
         "iso": bool(args.iso),
         "exhaustive_limit": args.exhaustive_limit,
-        "format": args.format,
     }
     try:
         report = connectivity_report(
@@ -537,25 +569,16 @@ def cmd_analyze(args) -> int:
                 )
         return EXIT_REFUSED
 
-    outdir = Path(args.out)
-    outdir.mkdir(parents=True, exist_ok=True)
-    tag = _config_hash(config)
     payload = report.to_json_dict()
     if args.format == "json":
-        name = f"analyze-{tag}.json"
-        _write_json(outdir / name, payload)
-    else:
-        name = f"analyze-{tag}.csv"
-        keys, values = [], []
-        for key, val in sorted(payload.items()):
-            entries = sorted(val.items()) if isinstance(val, dict) else [(None, val)]
-            for sub, sval in entries:
-                keys.append(key if sub is None else f"{key}.{sub}")
-                values.append(sval if sval is not None else "")
-        _write_csv(outdir / name, ["key", "value"], [keys, values])
-    _write_manifest(outdir, "analyze", config, None, [name])
-    print(f"wrote {outdir / name}")
-    return EXIT_OK
+        return _emit(args, config, None, {".json": lambda path: _write_json(path, payload)})
+    keys, values = [], []
+    for key, val in sorted(payload.items()):
+        entries = sorted(val.items()) if isinstance(val, dict) else [(None, val)]
+        for sub, sval in entries:
+            keys.append(key if sub is None else f"{key}.{sub}")
+            values.append(sval if sval is not None else "")
+    return _emit(args, config, None, _table("csv", ["key", "value"], [keys, values]))
 
 
 # ---------------------------------------------------------------- estimate
@@ -564,8 +587,8 @@ def cmd_analyze(args) -> int:
 def load_estimation_scenario(path: str, seed_override: int | None = None):
     _bind("estimation")
     data = _load_document(path, ESTIMATE_SCHEMA, "scenario")
-    g, _ = _resolve_graph(data["graph"], Path(path).parent)
-    seed = int(data["seed"]) if seed_override is None else int(seed_override)
+    g = _resolve_graph(data["graph"], Path(path).parent)
+    seed = _scenario_seed(data, seed_override)
     horizon = int(data.get("horizon", g.n))
     faulty = tuple(sorted(int(v) for v in data["faulty"]))
     observer = int(data["observer"])
@@ -598,12 +621,7 @@ def scenario_x0(seed: int, n: int, low: float, high: float) -> np.ndarray:
 def cmd_estimate(args) -> int:
     _bind("estimation")
     g, seed, scenario, observer, f = load_estimation_scenario(args.scenario, args.seed)
-    config = {
-        "command": "estimate",
-        "scenario": args.scenario,
-        "seed": seed,
-        "format": args.format,
-    }
+    config = {"scenario": args.scenario, "seed": seed}
     weights = random_weights(g, seed)
     x0 = scenario_x0(seed, g.n, -5.0, 5.0)
     states = simulate_faulty(weights, x0, scenario)
@@ -619,24 +637,13 @@ def cmd_estimate(args) -> int:
     except ModelMismatchError as exc:
         raise ValidationFailure(f"scenario is inconsistent with the fault model: {exc}")
 
-    outdir = Path(args.out)
-    outdir.mkdir(parents=True, exist_ok=True)
-    tag = _config_hash(config)
-    step, error = np.arange(len(errors)), np.array(errors)
-    if args.format == "csv":
-        name = f"estimate-{tag}.csv"
-        _write_csv(outdir / name, ["step", "error"], [step, error])
-    else:
-        name = f"estimate-{tag}.json"
-        _write_json_records(outdir / name, {"step": step, "error": error})
-    extra = {
+    results = {
         "unique": bool(final.unique),
         "final_error": errors[-1],
         "consistent_candidates": [list(c.fault_set) for c in final.candidates],
     }
-    _write_manifest(outdir, "estimate", config, seed, [name], extra)
-    print(f"wrote {outdir / name}")
-    return EXIT_OK
+    columns = [np.arange(len(errors)), np.array(errors)]
+    return _emit(args, config, seed, _table(args.format, ["step", "error"], columns), results)
 
 
 # ---------------------------------------------------------------- consensus
@@ -681,8 +688,8 @@ def _build_strategy(entry: dict, scenario_seed: int):
 def load_consensus_scenario(path: str, seed_override: int | None = None):
     _bind("consensus")
     data = _load_document(path, CONSENSUS_SCHEMA, "scenario")
-    g, _ = _resolve_graph(data["graph"], Path(path).parent)
-    seed = int(data["seed"]) if seed_override is None else int(seed_override)
+    g = _resolve_graph(data["graph"], Path(path).parent)
+    seed = _scenario_seed(data, seed_override)
     adversaries = []
     for entry in data["adversaries"]:
         if not 0 <= entry["vehicle"] < g.n:
@@ -696,46 +703,22 @@ def load_consensus_scenario(path: str, seed_override: int | None = None):
 def cmd_consensus(args) -> int:
     _bind("consensus")
     g, seed, adversaries, f, T, tol = load_consensus_scenario(args.scenario, args.seed)
-    config = {
-        "command": "consensus",
-        "scenario": args.scenario,
-        "seed": seed,
-        "format": args.format,
-    }
+    config = {"scenario": args.scenario, "seed": seed}
     x0 = scenario_x0(seed, g.n, 0.0, 10.0)
     trace = run_wmsr(g, x0, adversaries, f=f, T=T, tol=tol)
     steps = trace.values.shape[0]
     is_adversary = np.zeros(g.n, dtype=bool)
     is_adversary[list(trace.adversaries)] = True
-    step = np.repeat(np.arange(steps), g.n)
-    vehicle = np.tile(np.arange(g.n), steps)
-    value = trace.values.ravel()
-    adversary = np.tile(is_adversary, steps)
-    outdir = Path(args.out)
-    outdir.mkdir(parents=True, exist_ok=True)
-    tag = _config_hash(config)
-    if args.format == "csv":
-        name = f"consensus-{tag}.csv"
-        _write_csv(
-            outdir / name,
-            ["step", "vehicle", "value", "is_adversary"],
-            [step, vehicle, value, adversary.astype(np.int64)],
-        )
-    else:
-        name = f"consensus-{tag}.json"
-        _write_json_records(
-            outdir / name,
-            {"step": step, "vehicle": vehicle, "value": value, "is_adversary": adversary},
-        )
-    extra = {
+    columns = [np.repeat(np.arange(steps), g.n), np.tile(np.arange(g.n), steps),
+               trace.values.ravel(), np.tile(is_adversary, steps)]
+    results = {
         "converged_at": trace.converged_at,
         "final_spread": trace.spread(T),
         "safety_violations": len(trace.safety_violations),
         "f_local": is_f_local(g, trace.adversaries, f),
     }
-    _write_manifest(outdir, "consensus", config, seed, [name], extra)
-    print(f"wrote {outdir / name}")
-    return EXIT_OK
+    table = _table(args.format, ["step", "vehicle", "value", "is_adversary"], columns)
+    return _emit(args, config, seed, table, results)
 
 
 # ---------------------------------------------------------------- formation
@@ -744,7 +727,7 @@ def cmd_consensus(args) -> int:
 def load_formation_config(path: str):
     _bind("formation")
     data = _load_document(path, FORMATION_SCHEMA, "config")
-    g, _ = _resolve_graph(data["graph"], Path(path).parent)
+    g = _resolve_graph(data["graph"], Path(path).parent)
     system = build_formation(g, data["kp"], data["ku"], data.get("d0", 10.0))
     T = float(data.get("T", 10.0))
     h = float(data.get("h", 1e-3))
@@ -794,7 +777,6 @@ def cmd_formation(args) -> int:
     system, T, h, record_every, dist_cfg = load_formation_config(args.config)
     disturbance, resolved = _build_disturbance(system, dist_cfg)
     config = {
-        "command": "formation",
         "config": args.config,
         "graph_n": system.graph.n,
         "kp": system.kp,
@@ -804,56 +786,39 @@ def cmd_formation(args) -> int:
         "h": h,
         "record_every": record_every,
         "disturbance": resolved,
-        "format": args.format,
     }
     trace = simulate_formation(
         system, disturbance=disturbance, T=T, h=h, record_every=record_every
     )
 
-    outdir = Path(args.out)
-    outdir.mkdir(parents=True, exist_ok=True)
-    tag = _config_hash(config)
     edge_names = np.array([f"{i}-{j}" for i, j in system.graph.edges])
     n, m, samples = system.graph.n, system.graph.m, len(trace.t)
     if args.format == "csv":
-        veh_name = f"formation-{tag}-vehicles.csv"
-        edge_name = f"formation-{tag}-edges.csv"
-        _write_csv(
-            outdir / veh_name,
-            ["t", "vehicle", "p", "u"],
-            [np.repeat(trace.t, n), np.tile(np.arange(n), samples),
-             trace.positions.ravel(), trace.velocities.ravel()],
-        )
-        _write_csv(
-            outdir / edge_name,
-            ["t", "edge", "spacing_error"],
-            [np.repeat(trace.t, m), np.tile(edge_names, samples), trace.span_errors.ravel()],
-        )
-        names = [veh_name, edge_name]
+        files = {
+            **_table("csv", ["t", "vehicle", "p", "u"],
+                     [np.repeat(trace.t, n), np.tile(np.arange(n), samples),
+                      trace.positions.ravel(), trace.velocities.ravel()], "-vehicles"),
+            **_table("csv", ["t", "edge", "spacing_error"],
+                     [np.repeat(trace.t, m), np.tile(edge_names, samples),
+                      trace.span_errors.ravel()], "-edges"),
+        }
     else:
-        name = f"formation-{tag}.json"
-        _write_json_arrays(
-            outdir / name,
-            {
-                "t": trace.t,
-                "positions": trace.positions,
-                "velocities": trace.velocities,
-                "edges": edge_names,
-                "spacing_errors": trace.span_errors,
-            },
-        )
-        names = [name]
+        arrays = {
+            "t": trace.t,
+            "positions": trace.positions,
+            "velocities": trace.velocities,
+            "edges": edge_names,
+            "spacing_errors": trace.span_errors,
+        }
+        files = {".json": lambda path: _write_json_arrays(path, arrays)}
     value, branch = hinf_closed_form(system.lambda2, system.kp, system.ku)
-    extra = {
+    results = {
         "lambda2": system.lambda2,
         "hinf_closed_form": value,
         "branch": branch,
         "max_abs_spacing_error": float(np.max(np.abs(trace.span_errors))),
     }
-    _write_manifest(outdir, "formation", config, None, names, extra)
-    for name in names:
-        print(f"wrote {outdir / name}")
-    return EXIT_OK
+    return _emit(args, config, None, files, results)
 
 
 # ---------------------------------------------------------------- sweep
@@ -875,31 +840,20 @@ def cmd_sweep(args) -> int:
     else:
         spots = []
     config = {
-        "command": "sweep",
         "n": args.n,
         "k": args.k,
         "kp": args.kp,
         "ku": args.ku,
         "spot_check": args.spot_check,
-        "format": args.format,
     }
     rows = hinf_grid(n_values, k_values, args.kp, args.ku, spot_check=spots)
 
-    outdir = Path(args.out)
-    outdir.mkdir(parents=True, exist_ok=True)
-    tag = _config_hash(config)
     header = ["n", "k", "kp", "ku", "lambda2", "lb", "ub", "hinf", "branch"]
     table = [
         (r.n, r.k, float(r.kp), float(r.ku), r.lambda2, r.lower, r.upper, r.hinf, r.branch)
         for r in rows
     ]
     columns = [np.array(col) for col in zip(*table)]
-    if args.format == "csv":
-        name = f"sweep-{tag}.csv"
-        _write_csv(outdir / name, header, columns)
-    else:
-        name = f"sweep-{tag}.json"
-        _write_json_records(outdir / name, dict(zip(header, columns)))
     checks = [
         {
             "n": r.n,
@@ -911,9 +865,7 @@ def cmd_sweep(args) -> int:
         for r in rows
         if r.sweep_value is not None
     ]
-    _write_manifest(outdir, "sweep", config, None, [name], {"spot_checks": checks})
-    print(f"wrote {outdir / name}")
-    return EXIT_OK
+    return _emit(args, config, None, _table(args.format, header, columns), {"spot_checks": checks})
 
 
 # ---------------------------------------------------------------- main
@@ -927,9 +879,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
+    def common(p, fmt):
         p.add_argument("--out", default=".", help="output directory (default: .)")
-        p.add_argument("--format", choices=["csv", "json"], default=None)
+        p.add_argument("--format", choices=["csv", "json"], default=fmt)
 
     p = sub.add_parser("analyze", help="connectivity report")
     p.add_argument("--platoon", help="platoon parameters 'n,k'")
@@ -941,25 +893,25 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--exhaustive-limit", type=int, default=None,
                    help="override both exhaustive size limits "
                         "(defaults: robustness 19, isoperimetric 22)")
-    common(p)
-    p.set_defaults(func=cmd_analyze, default_format="json")
+    common(p, "json")
+    p.set_defaults(func=cmd_analyze)
 
     p = sub.add_parser("estimate", help="initial-state recovery error curve")
     p.add_argument("--scenario", required=True, help="scenario JSON file")
     p.add_argument("--seed", type=int, default=None, help="override the scenario seed")
-    common(p)
-    p.set_defaults(func=cmd_estimate, default_format="csv")
+    common(p, "csv")
+    p.set_defaults(func=cmd_estimate)
 
     p = sub.add_parser("consensus", help="trimmed-average consensus trace")
     p.add_argument("--scenario", required=True, help="scenario JSON file")
     p.add_argument("--seed", type=int, default=None, help="override the scenario seed")
-    common(p)
-    p.set_defaults(func=cmd_consensus, default_format="csv")
+    common(p, "csv")
+    p.set_defaults(func=cmd_consensus)
 
     p = sub.add_parser("formation", help="formation-control time response")
     p.add_argument("--config", required=True, help="config JSON file")
-    common(p)
-    p.set_defaults(func=cmd_formation, default_format="csv")
+    common(p, "csv")
+    p.set_defaults(func=cmd_formation)
 
     p = sub.add_parser("sweep", help="disturbance-gain surface over (n, k)")
     p.add_argument("--n", required=True, help="platoon sizes, e.g. '5:20' or '5,10,20'")
@@ -968,8 +920,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--ku", type=float, required=True)
     p.add_argument("--spot-check", choices=["none", "corners", "all"], default="corners",
                    help="which (n, k) points to verify with the numerical sweep")
-    common(p)
-    p.set_defaults(func=cmd_sweep, default_format="csv")
+    common(p, "csv")
+    p.set_defaults(func=cmd_sweep)
 
     return parser
 
@@ -977,14 +929,9 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.format is None:
-        args.format = args.default_format
     try:
         return args.func(args)
-    except ValidationFailure as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_VALIDATION
-    except (GraphFormatError, ValueError) as exc:
+    except ValueError as exc:  # ValidationFailure and GraphFormatError among them
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
 

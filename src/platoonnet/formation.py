@@ -31,6 +31,11 @@ BRANCH_UNDERDAMPED = "underdamped-peak"
 BRANCH_STATIC = "static-gain"
 
 
+def _check_gains(kp: float, ku: float) -> None:
+    if not (0 < kp < math.inf and 0 < ku < math.inf):  # false for NaN
+        raise ValueError("gains kp and ku must be finite and positive")
+
+
 @dataclass(frozen=True)
 class FormationSystem:
     graph: Graph
@@ -39,8 +44,7 @@ class FormationSystem:
     d0: float
 
     def __post_init__(self):
-        if self.kp <= 0 or self.ku <= 0:
-            raise ValueError("gains kp and ku must be positive")
+        _check_gains(self.kp, self.ku)
 
     @cached_property
     def lap(self) -> np.ndarray:
@@ -122,8 +126,7 @@ def hinf_closed_form(lambda2: float, kp: float, ku: float) -> tuple[float, str]:
     """
     if lambda2 <= 0:
         raise ValueError("lambda2 must be positive (connected graph)")
-    if kp <= 0 or ku <= 0:
-        raise ValueError("gains kp and ku must be positive")
+    _check_gains(kp, ku)
     if lambda2 * ku * ku / (2.0 * kp) <= 1.0:
         return 2.0 / (ku * lambda2 * math.sqrt(4.0 * kp - ku * ku * lambda2)), BRANCH_UNDERDAMPED
     return 1.0 / (kp * math.sqrt(lambda2)), BRANCH_STATIC

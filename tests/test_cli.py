@@ -178,6 +178,17 @@ def test_estimate_seed_override_changes_run(tmp_path):
     assert ma["outputs"] != mb["outputs"]  # config hash includes the seed
 
 
+@pytest.mark.parametrize("command, scenario", [
+    ("estimate", "estimation-single-fault.json"),
+    ("consensus", "consensus-ramp-tolerated.json"),
+])
+def test_negative_seed_override_is_a_validation_error(tmp_path, capsys, command, scenario):
+    argv = [command, "--scenario", str(SCENARIOS / scenario), "--seed", "-1", "--out", str(tmp_path)]
+    assert main(argv) == 2
+    assert "error: --seed must be a non-negative integer, got -1" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_estimate_scenario_validation_errors(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text('{"graph": {"platoon": [10, 3]}, "seed": 1}')
@@ -432,6 +443,69 @@ def test_sweep_range_validation(capsys):
     assert "no valid" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("flag", ["--kp", "--ku"])
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf", "1e400"])
+def test_sweep_rejects_non_finite_gains(tmp_path, capsys, flag, value):
+    gains = {"--kp": "5", "--ku": "3", flag: value}
+    argv = ["sweep", "--n", "5:6", "--k", "1:2", "--spot-check", "none", "--out", str(tmp_path),
+            *(f"{name}={text}" for name, text in gains.items())]  # `=`, or -inf reads as a flag
+    assert main(argv) == 2
+    assert "gains kp and ku must be finite and positive" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
+# ----------------------------------------------------------------- outputs
+
+OUTPUT_RUNS = {
+    "analyze": ["analyze", "--platoon", "8,2"],
+    "estimate": ["estimate", "--scenario", str(SCENARIOS / "estimation-single-fault.json")],
+    "consensus": ["consensus", "--scenario", str(SCENARIOS / "consensus-ramp-tolerated.json")],
+    "consensus-overwhelmed": ["consensus", "--scenario",
+                              str(SCENARIOS / "consensus-overwhelmed.json")],
+    "formation": ["formation", "--config", str(SCENARIOS / "formation-worst-case.json")],
+    "sweep": ["sweep", "--n", "5:6", "--k", "1:2", "--kp", "5", "--ku", "10",
+              "--spot-check", "none"],
+}
+
+
+def run_as(argv, fmt, out):
+    assert main([*argv, "--format", fmt, "--out", str(out)]) == 0
+    return read_manifest(out)
+
+
+@pytest.mark.filterwarnings("ignore:adversary set:UserWarning")
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize("run", OUTPUT_RUNS)
+def test_outputs_are_named_by_command_and_config_hash(tmp_path, run, fmt):
+    argv = OUTPUT_RUNS[run]
+    manifest = run_as(argv, fmt, tmp_path)
+    config = manifest["config"]
+    assert manifest["command"] == config["command"] == argv[0]
+    assert config["format"] == fmt
+    suffixes = [".json"]
+    if fmt == "csv":
+        suffixes = ["-vehicles.csv", "-edges.csv"] if argv[0] == "formation" else [".csv"]
+    stem = f"{argv[0]}-{cli._config_hash(config)}"
+    assert manifest["outputs"] == [stem + suffix for suffix in suffixes]
+    assert sorted(p.name for p in tmp_path.iterdir()) == sorted([*manifest["outputs"],
+                                                                 "manifest.json"])
+
+
+@pytest.mark.parametrize("run", ["estimate", "consensus", "sweep"])
+def test_csv_and_json_tables_carry_the_same_rows(tmp_path, run):
+    argv = OUTPUT_RUNS[run]
+    by_format = {fmt: run_as(argv, fmt, tmp_path / fmt) for fmt in ("csv", "json")}
+    rows = read_csv(tmp_path / "csv" / by_format["csv"]["outputs"][0])
+    with open(tmp_path / "json" / by_format["json"]["outputs"][0]) as fh:
+        records = json.load(fh)
+    header = rows[0]
+    assert sorted(records[0]) == sorted(header)
+    # the CSV spells booleans 0 and 1, and floats as their shortest repr, as JSON does
+    assert [[str(int(v)) if isinstance(v, bool) else str(v) for v in map(r.get, header)]
+            for r in records] == rows[1:]
+    assert by_format["csv"]["results"] == by_format["json"]["results"]
+
+
 # ------------------------------------------------------------------ parser
 
 
@@ -468,11 +542,11 @@ def test_column_writers_match_csv_and_json_dump(tmp_path, monkeypatch, chunk_row
     flags = ints % 3 == 0
     names = np.array(["0-1", "a,b", 'say "hi"', "\u00e9", "", "x", "y y", "z"])
 
-    cli._write_csv(tmp_path / "got.csv", ["f", "i", "s"], [floats, ints, names])
+    cli._write_csv(tmp_path / "got.csv", ["f", "i", "b", "s"], [floats, ints, flags, names])
     want = io.StringIO(newline="")
     writer = csv.writer(want, lineterminator="\n")
-    writer.writerow(["f", "i", "s"])
-    for row in zip(floats.tolist(), ints.tolist(), names.tolist()):
+    writer.writerow(["f", "i", "b", "s"])
+    for row in zip(floats.tolist(), ints.tolist(), [int(b) for b in flags], names.tolist()):
         writer.writerow(row)
     assert (tmp_path / "got.csv").read_text(encoding="utf-8") == want.getvalue()
 

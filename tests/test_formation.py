@@ -63,6 +63,17 @@ def test_gain_validation():
         build_formation(g, 1.0, -2.0)
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_non_finite_gains_are_rejected(bad):
+    # `bad <= 0` is false for NaN and +inf, so a sign test alone lets them through
+    g = build_knn_platoon(PlatoonSpec(4, 1))
+    for kp, ku in ((bad, 1.0), (1.0, bad)):
+        with pytest.raises(ValueError, match="finite and positive"):
+            build_formation(g, kp, ku)
+        with pytest.raises(ValueError, match="finite and positive"):
+            hinf_closed_form(1.0, kp, ku)
+
+
 # ------------------------------------------------------------- closed form
 
 

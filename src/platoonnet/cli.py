@@ -29,7 +29,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .graph import Graph, PlatoonSpec, build_knn_platoon, load_graph
+from .graph import Graph, PlatoonSpec, build_knn_platoon, load_graph, read_json
 
 # The names each subcommand uses from its domain module.  A module is
 # imported when its subcommand first runs (or when an outside lookup such as
@@ -110,6 +110,14 @@ _GRAPH_SPEC_SCHEMA = {
     ]
 }
 
+# Each adversary strategy's params, in the order its constructor takes them.
+STRATEGY_PARAMS = {
+    "constant": ("value",),
+    "ramp": ("start", "slope"),
+    "sinusoid": ("amplitude", "omega", "phase"),
+    "seeded-random": ("low", "high"),
+}
+
 ESTIMATE_SCHEMA = {
     "type": "object",
     "properties": {
@@ -148,9 +156,7 @@ CONSENSUS_SCHEMA = {
                 "type": "object",
                 "properties": {
                     "vehicle": {"type": "integer", "minimum": 0},
-                    "strategy": {
-                        "enum": ["constant", "ramp", "sinusoid", "seeded-random"]
-                    },
+                    "strategy": {"enum": list(STRATEGY_PARAMS)},
                     "params": {"type": "object"},
                 },
                 "required": ["vehicle", "strategy"],
@@ -297,39 +303,33 @@ def _check_finite(data, what: str) -> None:
             stack.extend((path + (i,), value[i]) for i in reversed(range(len(value))))
 
 
-def _load_json(path: str, what: str):
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            return json.load(fh)
-    except FileNotFoundError:
-        raise ValidationFailure(f"{what}: file not found: {path}")
-    except json.JSONDecodeError as exc:
-        raise ValidationFailure(
-            f"{what}: malformed JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}"
-        )
-    except RecursionError:
-        raise ValidationFailure(f"{what}: JSON nested too deeply to parse: {path}")
-
-
 def _load_document(path: str, schema: dict, what: str):
     """A scenario or config file, parsed and checked: it matches its schema
     and every number in it is finite."""
-    data = _load_json(path, what)
+    _, data = read_json(path, what)
     _validate_schema(data, schema, what)
     _check_finite(data, what)
     return data
 
 
 def _resolve_graph(spec, base_dir: Path) -> Graph:
-    """Graph from a scenario 'graph' entry: file path, inline, or platoon."""
+    """Graph from a checked 'graph' entry: a graph file (a relative path
+    resolves against base_dir), a platoon or an inline edge list.  The
+    schema's integers may be integral floats such as 4.0; int() reads them."""
     if isinstance(spec, str):
-        path = Path(spec)
-        if not path.is_absolute():
-            path = base_dir / path
-        return load_graph(path)
+        return load_graph(base_dir / spec)
     if "platoon" in spec:
-        return build_knn_platoon(PlatoonSpec(*spec["platoon"]))
-    return Graph.from_edges(spec["n"], spec["edges"])
+        return build_knn_platoon(PlatoonSpec(*map(int, spec["platoon"])))
+    return Graph.from_edges(int(spec["n"]), [tuple(map(int, e)) for e in spec["edges"]])
+
+
+def _vehicle(value, n: int, what: str, path: tuple) -> int:
+    """The vehicle id at `path` of a checked document: an integral number
+    below n."""
+    vehicle = int(value)
+    if not 0 <= vehicle < n:
+        raise _invalid(what, path, f"vehicle {vehicle} out of range for n={n}")
+    return vehicle
 
 
 def _scenario_seed(data: dict, seed_override: int | None) -> int:
@@ -518,15 +518,9 @@ def cmd_analyze(args) -> int:
     robust_limit = ROBUSTNESS_LIMIT if args.exhaustive_limit is None else args.exhaustive_limit
     iso_limit = ISO_LIMIT if args.exhaustive_limit is None else args.exhaustive_limit
 
-    platoon = None
-    if args.platoon is not None:
-        platoon = _parse_platoon(args.platoon)
-        g = build_knn_platoon(platoon)
-        graph_cfg = {"platoon": [platoon.n, platoon.k]}
-    else:
-        g = load_graph(args.graph)
-        graph_cfg = args.graph
-
+    platoon = None if args.platoon is None else _parse_platoon(args.platoon)
+    graph_cfg = args.graph if platoon is None else {"platoon": [platoon.n, platoon.k]}
+    g = _resolve_graph(graph_cfg, Path("."))
     config = {
         "graph": graph_cfg,
         "robustness": bool(args.robustness),
@@ -590,12 +584,10 @@ def load_estimation_scenario(path: str, seed_override: int | None = None):
     g = _resolve_graph(data["graph"], Path(path).parent)
     seed = _scenario_seed(data, seed_override)
     horizon = int(data.get("horizon", g.n))
-    faulty = tuple(sorted(int(v) for v in data["faulty"]))
-    observer = int(data["observer"])
-    if not 0 <= observer < g.n:
-        raise ValidationFailure(f"scenario: observer {observer} out of range for n={g.n}")
-    if any(not 0 <= v < g.n for v in faulty):
-        raise ValidationFailure(f"scenario: faulty vehicle out of range for n={g.n}")
+    faulty = tuple(sorted(
+        _vehicle(v, g.n, "scenario", ("faulty", i)) for i, v in enumerate(data["faulty"])
+    ))
+    observer = _vehicle(data["observer"], g.n, "scenario", ("observer",))
     if observer in faulty:
         raise ValidationFailure("scenario: the observer cannot be a faulty vehicle")
     phi: dict[tuple[int, int], float] = {}
@@ -649,40 +641,30 @@ def cmd_estimate(args) -> int:
 # ---------------------------------------------------------------- consensus
 
 
-def _build_strategy(entry: dict, scenario_seed: int):
-    kind = entry["strategy"]
-    params = dict(entry.get("params", {}))
-    vehicle = entry["vehicle"]
-
-    def need(*names):
-        missing = [p for p in names if p not in params]
-        unknown = [p for p in params if p not in names]
-        if missing or unknown:
-            raise ValidationFailure(
-                f"strategy {kind!r} for vehicle {vehicle}: "
-                + (f"missing params {missing} " if missing else "")
-                + (f"unknown params {unknown}" if unknown else "")
-            )
-        for name in names:
-            if not _is_number(params[name]):
-                raise ValidationFailure(f"strategy {kind!r} for vehicle {vehicle}: param "
-                                        f"{name!r} must be a number, got {json.dumps(params[name])}")
-
-    if kind == "constant":
-        need("value")
-        return Constant(params["value"])
-    if kind == "ramp":
-        need("start", "slope")
-        return Ramp(params["start"], params["slope"])
-    if kind == "sinusoid":
-        if "phase" not in params:
-            params["phase"] = 0.0
-        need("amplitude", "omega", "phase")
-        return Sinusoid(params["amplitude"], params["omega"], params["phase"])
-    # seeded-random: per-adversary stream derived from the scenario seed
-    need("low", "high")
-    derived = int(np.random.SeedSequence((scenario_seed, 2, vehicle)).generate_state(1)[0])
-    return SeededRandom(params["low"], params["high"], seed=derived)
+def _build_strategy(kind: str, params: dict, vehicle: int, scenario_seed: int):
+    """The strategy object of one adversary, from STRATEGY_PARAMS: the
+    consensus class named after the strategy (seeded-random: SeededRandom)
+    called with the params in table order."""
+    names = STRATEGY_PARAMS[kind]
+    if "phase" in names:  # a sinusoid starts at phase 0 unless told otherwise
+        params = {"phase": 0.0, **params}
+    missing = [p for p in names if p not in params]
+    unknown = [p for p in params if p not in names]
+    if missing or unknown:
+        raise ValidationFailure(
+            f"strategy {kind!r} for vehicle {vehicle}: "
+            + (f"missing params {missing} " if missing else "")
+            + (f"unknown params {unknown}" if unknown else "")
+        )
+    for name in names:
+        if not _is_number(params[name]):
+            raise ValidationFailure(f"strategy {kind!r} for vehicle {vehicle}: param "
+                                    f"{name!r} must be a number, got {json.dumps(params[name])}")
+    strategy = globals()[kind.title().replace("-", "")]
+    args = [params[name] for name in names]
+    if strategy is SeededRandom:  # per-adversary stream derived from the scenario seed
+        args.append(int(np.random.SeedSequence((scenario_seed, 2, vehicle)).generate_state(1)[0]))
+    return strategy(*args)
 
 
 def load_consensus_scenario(path: str, seed_override: int | None = None):
@@ -691,12 +673,10 @@ def load_consensus_scenario(path: str, seed_override: int | None = None):
     g = _resolve_graph(data["graph"], Path(path).parent)
     seed = _scenario_seed(data, seed_override)
     adversaries = []
-    for entry in data["adversaries"]:
-        if not 0 <= entry["vehicle"] < g.n:
-            raise ValidationFailure(
-                f"scenario: adversary vehicle {entry['vehicle']} out of range for n={g.n}"
-            )
-        adversaries.append(Adversary(entry["vehicle"], _build_strategy(entry, seed)))
+    for i, entry in enumerate(data["adversaries"]):
+        vehicle = _vehicle(entry["vehicle"], g.n, "scenario", ("adversaries", i, "vehicle"))
+        strategy = _build_strategy(entry["strategy"], entry.get("params", {}), vehicle, seed)
+        adversaries.append(Adversary(vehicle, strategy))
     return g, seed, adversaries, int(data["f"]), int(data.get("T", 500)), float(data.get("tol", 1e-9))
 
 
@@ -741,9 +721,7 @@ def _build_disturbance(system, cfg: dict):
     if kind == "none":
         return None, {"kind": "none"}
     n = system.graph.n
-    vehicle = int(cfg.get("vehicle", 0))
-    if not 0 <= vehicle < n:
-        raise ValidationFailure(f"disturbance vehicle {vehicle} out of range for n={n}")
+    vehicle = _vehicle(cfg.get("vehicle", 0), n, "config", ("disturbance", "vehicle"))
     amplitude = float(cfg.get("amplitude", 1.0))
     basis = np.zeros(n)
     basis[vehicle] = amplitude
@@ -775,6 +753,8 @@ def _build_disturbance(system, cfg: dict):
 def cmd_formation(args) -> int:
     _bind("formation")
     system, T, h, record_every, dist_cfg = load_formation_config(args.config)
+    # refuses a graph without a closed form (lambda2 = 0) before simulating it
+    value, branch = hinf_closed_form(system.lambda2, system.kp, system.ku)
     disturbance, resolved = _build_disturbance(system, dist_cfg)
     config = {
         "config": args.config,
@@ -811,7 +791,6 @@ def cmd_formation(args) -> int:
             "spacing_errors": trace.span_errors,
         }
         files = {".json": lambda path: _write_json_arrays(path, arrays)}
-    value, branch = hinf_closed_form(system.lambda2, system.kp, system.ku)
     results = {
         "lambda2": system.lambda2,
         "hinf_closed_form": value,

@@ -106,8 +106,12 @@ class FormationSystem:
         x[:n] = -self.d0 * np.arange(n)
         return x
 
-    @property
+    @cached_property
     def lambda2(self) -> float:
+        """Second-smallest Laplacian eigenvalue; exactly 0.0 for one vehicle or
+        a disconnected graph, where eigvalsh can leave a residue such as 4e-17."""
+        if self.graph.n < 2 or len(components(self.graph)) > 1:
+            return 0.0
         return float(self.lap_eigenvalues[1])
 
 

@@ -122,9 +122,9 @@ class PlatoonSpec:
     k: int
 
     def __post_init__(self):
-        if not isinstance(self.n, (int, np.integer)) or self.n < 1:
+        if not _is_int(self.n) or self.n < 1:
             raise ValueError(f"platoon size must be a positive integer, got {self.n!r}")
-        if not isinstance(self.k, (int, np.integer)) or not (1 <= self.k <= self.n - 1):
+        if not _is_int(self.k) or not (1 <= self.k <= self.n - 1):
             raise ValueError(
                 f"neighbor range k must satisfy 1 <= k <= n-1, got k={self.k!r} for n={self.n}"
             )
@@ -237,21 +237,35 @@ def _locate_line(text: str, a: int, b: int, occurrence: int = 1) -> int | None:
     return None
 
 
+def read_json(path, kind: str) -> tuple[str, object]:
+    """Text and parsed value of a UTF-8 JSON file.  A file that is missing,
+    a directory, unreadable, not UTF-8, malformed, nested too deeply or
+    holding an integer too long to parse raises GraphFormatError, the error
+    load_graph's callers catch, with a message that starts with `kind` and
+    names the file once."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            text = fh.read()
+        return text, json.loads(text)
+    except OSError as exc:
+        problem = f"cannot read file ({exc.strerror})"
+    except UnicodeDecodeError as exc:
+        problem = f"not UTF-8 text (byte {exc.start})"
+    except json.JSONDecodeError as exc:
+        problem = f"malformed JSON at line {exc.lineno}, column {exc.colno} ({exc.msg})"
+    except ValueError:  # past sys.get_int_max_str_digits()
+        problem = "JSON integer with too many digits to parse"
+    except RecursionError:
+        problem = "JSON nested too deeply to parse"
+    raise GraphFormatError(f"{kind}: {problem}: {path}")
+
+
 def load_graph(path) -> Graph:
     """Read a JSON graph file, reporting offending line numbers on errors.
 
     The graph is checked once, by the Graph validator; only the edge it
     rejects is looked up in the text."""
-    with open(path, "r", encoding="utf-8") as fh:
-        text = fh.read()
-    try:
-        data = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise GraphFormatError(
-            f"{path}: malformed JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}"
-        ) from exc
-    except RecursionError:
-        raise GraphFormatError(f"{path}: JSON nested too deeply to parse") from None
+    text, data = read_json(path, "graph")
     if not isinstance(data, dict) or "n" not in data or "edges" not in data:
         raise GraphFormatError(f"{path}: expected an object with 'n' and 'edges'")
     raw = data["edges"]

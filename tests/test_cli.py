@@ -237,6 +237,92 @@ def test_malformed_scenario_json_reports_position(tmp_path, capsys):
     assert main(["estimate", "--scenario", str(tmp_path / "nope.json")]) == 2
 
 
+def _naming_a_graph_file(command, doc):
+    """argv builder for a run whose document names the input file as its graph."""
+    def argv(tmp_path, name):
+        path = tmp_path / "doc.json"
+        path.write_text(json.dumps({**doc, "graph": name}))
+        return [command, "--config" if command == "formation" else "--scenario", str(path)]
+    return argv
+
+
+INPUT_ENTRY_POINTS = {
+    "analyze-graph": lambda tmp_path, name: ["analyze", "--graph", str(tmp_path / name)],
+    "estimate-scenario": lambda tmp_path, name: ["estimate", "--scenario", str(tmp_path / name)],
+    "consensus-scenario": lambda tmp_path, name: ["consensus", "--scenario", str(tmp_path / name)],
+    "formation-config": lambda tmp_path, name: ["formation", "--config", str(tmp_path / name)],
+    "scenario-graph-file": _naming_a_graph_file(
+        "estimate", {"seed": 1, "faulty": [], "phi": [], "observer": 0, "f": 0}),
+    "config-graph-file": _naming_a_graph_file("formation", {"kp": 5.0, "ku": 10.0}),
+}
+
+
+@pytest.mark.parametrize("entry", INPUT_ENTRY_POINTS)
+def test_unreadable_input_file_is_a_validation_error(tmp_path, capsys, entry):
+    (tmp_path / "directory.json").mkdir()
+    (tmp_path / "latin1.json").write_bytes(b'{"n": "\xe9"}')
+    (tmp_path / "malformed.json").write_text('{\n  "n": 4,\n}')
+    (tmp_path / "deep.json").write_text("[" * 100_000)
+    (tmp_path / "long-integer.json").write_text("9" * 5000)
+    out = tmp_path / "out"
+    for name in ("missing.json", "directory.json", "latin1.json", "malformed.json", "deep.json",
+                 "long-integer.json"):
+        argv = INPUT_ENTRY_POINTS[entry](tmp_path, name)
+        assert main([*argv, "--out", str(out)]) == 2, name
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        (line,) = err.splitlines()
+        assert line.startswith("error: ") and line.count(str(tmp_path / name)) == 1, line
+        assert not out.exists()
+
+
+def test_integral_numbers_read_as_integers(tmp_path):
+    # the schemas count 4.0 as an integer; it runs exactly as 4 does
+    estimate = {"graph": {"platoon": [10, 3]}, "seed": 1, "faulty": [4], "phi": [[4, 2, 1.5]],
+                "observer": 0, "f": 1}
+    p62 = [list(e) for e in build_knn_platoon(PlatoonSpec(6, 2)).edges]
+    inline = {**estimate, "graph": {"n": 6, "edges": p62}, "faulty": [], "phi": [], "f": 0}
+    consensus = {"graph": {"platoon": [8, 3]}, "seed": 5, "f": 1, "T": 30, "adversaries": [
+        {"vehicle": 4, "strategy": "seeded-random", "params": {"low": -1.0, "high": 12.0}}]}
+    cases = [
+        ("estimate", estimate, {**estimate, "observer": 0.0}),
+        ("estimate", estimate, {**estimate, "graph": {"platoon": [10.0, 3]}}),
+        ("estimate", inline, {**inline, "graph": {"n": 6.0, "edges": [[0.0, 1]] + p62[1:]}}),
+        ("consensus", consensus, {**consensus, "adversaries": [
+            {**consensus["adversaries"][0], "vehicle": 4.0}]}),
+    ]
+    scenario = tmp_path / "scenario.json"
+    for idx, (command, whole, integral) in enumerate(cases):
+        outputs = []
+        for spelling, doc in (("int", whole), ("float", integral)):
+            scenario.write_text(json.dumps(doc))  # one path: the config hash is the same
+            out = tmp_path / f"{idx}-{spelling}"
+            assert main([command, "--scenario", str(scenario), "--out", str(out)]) == 0
+            outputs.append({p.name: p.read_bytes() for p in out.iterdir()})
+        assert outputs[0] == outputs[1], cases[idx]
+
+
+@pytest.mark.parametrize("command, doc, pointer", [
+    ("estimate", {"graph": {"platoon": [10, 3]}, "seed": 1, "faulty": [3, 10], "phi": [],
+                  "observer": 0, "f": 1}, "/faulty/1"),
+    ("estimate", {"graph": {"platoon": [10, 3]}, "seed": 1, "faulty": [3], "phi": [],
+                  "observer": 10, "f": 1}, "/observer"),
+    ("consensus", {"graph": {"platoon": [10, 3]}, "seed": 1, "f": 1, "adversaries": [
+        {"vehicle": 2, "strategy": "constant", "params": {"value": 1.0}},
+        {"vehicle": 10, "strategy": "constant", "params": {"value": 1.0}}]},
+     "/adversaries/1/vehicle"),
+    ("formation", {"graph": {"platoon": [10, 3]}, "kp": 5.0, "ku": 10.0,
+                   "disturbance": {"kind": "step", "vehicle": 10}}, "/disturbance/vehicle"),
+])
+def test_vehicle_out_of_range_names_its_pointer(tmp_path, capsys, command, doc, pointer):
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(doc))
+    flag = "--config" if command == "formation" else "--scenario"
+    assert main([command, flag, str(path), "--out", str(tmp_path / "out")]) == 2
+    assert f"invalid at {pointer}: vehicle 10 out of range for n=10" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 def test_scenario_graph_variants(tmp_path):
     # inline edge list
     inline = tmp_path / "inline.json"
@@ -392,6 +478,24 @@ def test_formation_validation(tmp_path, capsys):
     }))
     assert main(["formation", "--config", str(bad)]) == 2
     assert "/h" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("graph", [
+    {"n": 4, "edges": [[0, 1], [2, 3]]},
+    {"n": 5, "edges": [[0, 1], [2, 3], [3, 4]]},  # eigvalsh can leave lambda2 ~ 4e-17
+    {"n": 1, "edges": []},
+])
+def test_formation_refuses_a_graph_without_closed_form_before_simulating(
+        tmp_path, capsys, monkeypatch, graph):
+    def refuse(*args, **kwargs):
+        raise AssertionError("simulate_formation called")
+
+    monkeypatch.setattr(cli, "simulate_formation", refuse)
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"graph": graph, "kp": 5, "ku": 10}))
+    assert main(["formation", "--config", str(config), "--out", str(tmp_path / "out")]) == 2
+    assert "lambda2 must be positive" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize("key, value, pointer", [

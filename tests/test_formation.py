@@ -163,6 +163,16 @@ def test_sweep_against_grid_oracle(n, k, kp, ku):
     assert abs(attained - closed) / closed < 1e-12
 
 
+def test_lambda2_is_exactly_zero_without_a_connected_graph():
+    # eigvalsh can leave a residue such as 4e-17 for the second zero
+    # eigenvalue, and hinf_closed_form would take it for a connected graph
+    assert build_formation(Graph.from_edges(1, []), 5.0, 10.0).lambda2 == 0.0
+    for a in range(2, 9):
+        for b in range(2, 9):
+            edges = [(i, i + 1) for i in range(a + b - 1) if i != a - 1]  # two paths
+            assert build_formation(Graph.from_edges(a + b, edges), 5.0, 10.0).lambda2 == 0.0
+
+
 def test_sweep_on_disconnected_graphs():
     # Each component's translation mode is unobservable, so the gain is the
     # worst component's: two P(3, 1) peak at w = 0 with 1 / (kp sqrt(1)) =

@@ -113,6 +113,18 @@ def test_graph_rejects_booleans_as_vertex_ids():
     assert Graph.from_edges(3, [(np.int64(2), 1)]).edges == ((1, 2),)
 
 
+def test_platoon_spec_rejects_booleans_as_sizes():
+    # the rule Graph applies to vertex ids: True is not the size 1
+    with pytest.raises(ValueError, match="platoon size"):
+        PlatoonSpec(True, 1)
+    with pytest.raises(ValueError, match="neighbor range"):
+        PlatoonSpec(5, True)
+    with pytest.raises(ValueError, match="neighbor range"):
+        PlatoonSpec(5, np.bool_(True))
+    spec = PlatoonSpec(np.int32(5), np.int64(1))
+    assert (spec.n, spec.k) == (5, 1) and type(spec.n) is int and type(spec.k) is int
+
+
 def test_platoon_spec_validation():
     with pytest.raises(ValueError):
         PlatoonSpec(5, 0)

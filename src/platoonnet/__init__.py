@@ -18,7 +18,6 @@ _EXPORTS = {
     "connectivity": (
         "ConnectivityReport",
         "ExhaustiveLimitError",
-        "algebraic_connectivity",
         "connectivity_report",
         "edge_connectivity",
         "is_connected",
@@ -36,7 +35,6 @@ _EXPORTS = {
         "Sinusoid",
         "is_f_local",
         "run_wmsr",
-        "wmsr_update",
     ),
     "estimation": (
         "FaultScenario",
@@ -56,11 +54,9 @@ _EXPORTS = {
         "Disturbance",
         "FormationSystem",
         "FormationTrace",
-        "HinfReport",
         "build_formation",
         "hinf_closed_form",
         "hinf_grid",
-        "hinf_report",
         "hinf_sweep",
         "simulate_formation",
     ),
@@ -68,6 +64,7 @@ _EXPORTS = {
         "Graph",
         "GraphFormatError",
         "PlatoonSpec",
+        "algebraic_connectivity",
         "build_knn_platoon",
         "incidence",
         "lambda2_bounds",

@@ -37,8 +37,9 @@ from .graph import Graph, PlatoonSpec, build_knn_platoon, load_graph, read_json
 # code.  The names are bound as globals of this module, where the
 # subcommands look them up and where a caller may replace them.
 _IMPORTS = {
-    "connectivity": ("ExhaustiveLimitError", "ISO_LIMIT", "KNN_ROBUSTNESS_VERIFIED_N",
-                     "ROBUSTNESS_LIMIT", "connectivity_report", "knn_closed_forms"),
+    "connectivity": ("EXHAUSTIVE_CEILING", "ExhaustiveLimitError", "ISO_LIMIT",
+                     "KNN_ROBUSTNESS_VERIFIED_N", "ROBUSTNESS_LIMIT", "connectivity_report",
+                     "knn_closed_forms"),
     "consensus": ("Adversary", "Constant", "Ramp", "SeededRandom", "Sinusoid", "is_f_local",
                   "run_wmsr"),
     "estimation": ("FaultScenario", "ModelMismatchError", "observe", "random_weights",
@@ -515,6 +516,10 @@ def cmd_analyze(args) -> int:
     _bind("connectivity")
     if (args.platoon is None) == (args.graph is None):
         raise ValidationFailure("analyze needs exactly one of --platoon or --graph")
+    if args.exhaustive_limit is not None and not 0 <= args.exhaustive_limit <= EXHAUSTIVE_CEILING:
+        raise ValidationFailure(
+            f"--exhaustive-limit must lie in 0..{EXHAUSTIVE_CEILING}, got {args.exhaustive_limit}"
+        )
     robust_limit = ROBUSTNESS_LIMIT if args.exhaustive_limit is None else args.exhaustive_limit
     iso_limit = ISO_LIMIT if args.exhaustive_limit is None else args.exhaustive_limit
 
@@ -810,14 +815,13 @@ def cmd_sweep(args) -> int:
     pairs = [(n, k) for n in n_values for k in k_values if 1 <= k <= n - 1]
     if not pairs:
         raise ValidationFailure("sweep range contains no valid (n, k) pairs")
-    if args.spot_check == "corners":
-        ns = {min(p[0] for p in pairs), max(p[0] for p in pairs)}
-        ks = {min(p[1] for p in pairs), max(p[1] for p in pairs)}
-        spots = [(n, k) for n, k in pairs if n in ns and k in ks]
-    elif args.spot_check == "all":
-        spots = pairs
-    else:
-        spots = []
+    ns, ks = zip(*pairs)
+    spots = {
+        "corners": {(n, k) for n, k in pairs
+                    if n in (min(ns), max(ns)) and k in (min(ks), max(ks))},
+        "all": set(pairs),
+        "none": set(),
+    }[args.spot_check]
     config = {
         "n": args.n,
         "k": args.k,
@@ -825,7 +829,7 @@ def cmd_sweep(args) -> int:
         "ku": args.ku,
         "spot_check": args.spot_check,
     }
-    rows = hinf_grid(n_values, k_values, args.kp, args.ku, spot_check=spots)
+    rows = hinf_grid(pairs, args.kp, args.ku, spot_check=spots)
 
     header = ["n", "k", "kp", "ku", "lambda2", "lb", "ub", "hinf", "branch"]
     table = [
@@ -870,7 +874,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--iso", action="store_true",
                    help="require the exhaustive isoperimetric computation")
     p.add_argument("--exhaustive-limit", type=int, default=None,
-                   help="override both exhaustive size limits "
+                   help="override both exhaustive size limits, 0 to 22 "
                         "(defaults: robustness 19, isoperimetric 22)")
     common(p, "json")
     p.set_defaults(func=cmd_analyze)

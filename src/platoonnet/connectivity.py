@@ -19,16 +19,19 @@ import numpy as np
 from .graph import (
     Graph,
     PlatoonSpec,
+    algebraic_connectivity,
     build_knn_platoon,
     components,
     degrees,
     lambda2_bounds,
-    laplacian,
     neighbors,
 )
 
 ROBUSTNESS_LIMIT = 19
 ISO_LIMIT = 22
+# no limit reaches past this n: the 2^n tables of n = 24 already take
+# ~0.5 GiB, and the uint32 subset masks overflow past n = 32
+EXHAUSTIVE_CEILING = 22
 
 
 class ExhaustiveLimitError(RuntimeError):
@@ -37,10 +40,6 @@ class ExhaustiveLimitError(RuntimeError):
 
 def is_connected(g: Graph) -> bool:
     return len(components(g)) == 1
-
-
-def is_complete(g: Graph) -> bool:
-    return g.m == g.n * (g.n - 1) // 2
 
 
 def _residual(num_nodes: int, arcs: list[tuple[int, int, int]]) -> list[dict[int, int]]:
@@ -105,7 +104,7 @@ def vertex_connectivity(g: Graph) -> int:
         return 0
     if not is_connected(g):
         return 0
-    if is_complete(g):
+    if g.m == n * (n - 1) // 2:  # complete
         return n - 1
 
     inf = n  # any s-t vertex cut has size < n
@@ -147,31 +146,6 @@ def edge_connectivity(g: Graph) -> int:
     return best
 
 
-def _subset_mask(g: Graph, S) -> int:
-    mask = 0
-    for v in S:
-        v = int(v)
-        if not 0 <= v < g.n:
-            raise ValueError(f"vertex {v} out of range for n={g.n}")
-        mask |= 1 << v
-    return mask
-
-
-def is_r_reachable(g: Graph, S, r: int) -> bool:
-    """True iff some vertex of S has at least r neighbors outside S."""
-    mask = _subset_mask(g, S)
-    if mask == 0:
-        raise ValueError("S must be nonempty")
-    nb = g.neighbor_bitmasks
-    T = mask
-    while T:
-        v = (T & -T).bit_length() - 1
-        T &= T - 1
-        if (nb[v] & ~mask).bit_count() >= r:
-            return True
-    return False
-
-
 def _reach_table(g: Graph) -> np.ndarray:
     """reach[S] = max over v in S of |N(v) minus S| for every subset bitmask
     S of the vertices (0 for the empty set): one vector step per vertex over
@@ -187,6 +161,7 @@ def _reach_table(g: Graph) -> np.ndarray:
 
 
 def _refuse_above(limit: int, n: int, measure: str) -> None:
+    limit = min(limit, EXHAUSTIVE_CEILING)
     if n > limit:
         raise ExhaustiveLimitError(
             f"exhaustive search refused: {measure} on n={n} exceeds limit {limit}"
@@ -203,7 +178,8 @@ def robustness(g: Graph, limit: int = ROBUSTNESS_LIMIT) -> int:
     one in-place minimum per vertex that folds each subset holding v onto
     the subset without v; the empty set holds a sentinel above every reach.
 
-    Refuses graphs with n > limit (the tables hold 2^n entries).
+    Refuses graphs with n > limit, or n > EXHAUSTIVE_CEILING whatever the
+    limit (the tables hold 2^n entries).
     Disconnected graphs yield 0; a single vertex reports the definitional
     cap ceil(n/2)=1 (there are no subset pairs to constrain it).
     """
@@ -226,10 +202,10 @@ def isoperimetric_constant(g: Graph, limit: int = ISO_LIMIT) -> tuple[Fraction, 
     """Exhaustive isoperimetric constant min_{0<|S|<=n/2} |boundary(S)| / |S|.
 
     Returns the exact rational together with its float value.  Refuses
-    n > limit.  The search is vectorized over all 2^n subsets, whose
-    boundary sizes are filled in by doubling: adding vertex v to a subset S
-    of the vertices below v adds deg(v) edges and removes the 2 |N(v) ∩ S|
-    edge ends that now lie inside.
+    n > limit and n > EXHAUSTIVE_CEILING.  The search is vectorized over
+    all 2^n subsets, whose boundary sizes are filled in by doubling: adding
+    vertex v to a subset S of the vertices below v adds deg(v) edges and
+    removes the 2 |N(v) ∩ S| edge ends that now lie inside.
     """
     n = g.n
     _refuse_above(limit, n, "isoperimetric constant")
@@ -255,18 +231,6 @@ def isoperimetric_constant(g: Graph, limit: int = ISO_LIMIT) -> tuple[Fraction, 
     return frac, float(frac)
 
 
-def algebraic_connectivity(g: Graph) -> float:
-    """Second-smallest Laplacian eigenvalue (dense symmetric eigensolver).
-
-    Exactly 0.0 for a disconnected graph, whose Laplacian has one zero
-    eigenvalue per component; the eigensolver is not run.
-    """
-    if g.n < 2 or not is_connected(g):
-        return 0.0
-    w = np.linalg.eigvalsh(laplacian(g).astype(np.float64))
-    return float(w[1])
-
-
 _UNVERIFIED = "closed-form, not verified exhaustively"
 # largest n for which robustness(P(n, k)) = k is checked exhaustively for
 # every k <= floor(n/2) (acceptance criterion 2)
@@ -288,25 +252,17 @@ class ConnectivityReport:
     lambda2_bounds: tuple[float, float] | None = None
 
     def to_json_dict(self) -> dict:
-        iso_obj = None
-        if self.iso is not None:
-            iso_obj = {
-                "num": self.iso.numerator,
-                "den": self.iso.denominator,
-                "float": float(self.iso),
-            }
-        bounds_obj = None
-        if self.lambda2_bounds is not None:
-            bounds_obj = {"lower": self.lambda2_bounds[0], "upper": self.lambda2_bounds[1]}
+        iso, bounds = self.iso, self.lambda2_bounds
         return {
             "n": self.n,
             "vertex_connectivity": self.vertex_conn,
             "edge_connectivity": self.edge_conn,
             "lambda2": self.lambda2,
-            "lambda2_bounds": bounds_obj,
+            "lambda2_bounds": None if bounds is None else {"lower": bounds[0], "upper": bounds[1]},
             "robustness": self.robustness,
             "robustness_note": self.robustness_note,
-            "isoperimetric": iso_obj,
+            "isoperimetric": None if iso is None else {
+                "num": iso.numerator, "den": iso.denominator, "float": float(iso)},
             "isoperimetric_note": self.iso_note,
         }
 
@@ -364,14 +320,11 @@ def connectivity_report(
     Exhaustive measures over the limit are skipped with a note, unless
     explicitly required, in which case ExhaustiveLimitError propagates.
     """
-    rb: int | None = None
-    rb_note = None
+    rb = rb_note = iso = iso_note = None
     if g.n <= robust_limit or require_robustness:
         rb = robustness(g, limit=robust_limit)
     else:
         rb_note = "skipped: n too large"
-    iso: Fraction | None = None
-    iso_note = None
     if g.n <= iso_limit or require_iso:
         iso, _ = isoperimetric_constant(g, limit=iso_limit)
     else:

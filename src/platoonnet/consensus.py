@@ -68,29 +68,6 @@ class Adversary:
     strategy: object  # anything with .value(step) -> float
 
 
-def wmsr_update(own: float, neighbor_values, f: int) -> float:
-    """One trimmed-average step: the scalar reference for run_wmsr.
-
-    neighbor_values is a sequence of (vehicle, value).  Up to f values
-    strictly greater than own are removed (largest first) and up to f
-    strictly smaller (smallest first); values equal to own are never removed.
-    Which of several tied values is removed cannot change the result.  The
-    kept values, greater ones largest first, then smaller ones smallest
-    first, then equal ones, are added left to right and averaged uniformly
-    with own.
-    """
-    if f < 0:
-        raise ValueError("f must be >= 0")
-    greater = sorted((val for _, val in neighbor_values if val > own), reverse=True)
-    smaller = sorted(val for _, val in neighbor_values if val < own)
-    equal = [val for _, val in neighbor_values if val == own]
-    kept = greater[f:] + smaller[f:] + equal
-    total = 0.0
-    for val in kept:  # not sum(): it is compensated on Python >= 3.12
-        total += val
-    return (own + total) / (1 + len(kept))
-
-
 def is_f_local(g: Graph, adversary_set, f: int) -> bool:
     """True iff every vehicle outside the set has <= f neighbors inside it."""
     s = set(int(v) for v in adversary_set)
@@ -168,10 +145,9 @@ def run_wmsr(
     for v, strat in strategy.items():
         values[:, v] = [strat.value(k) for k in range(T + 1)]
 
-    # One W-MSR step for every normal vehicle at once, in wmsr_update's
-    # arithmetic.  Row r of nbr lists the neighbours of normal[r], padded
-    # with index n, which reads NaN: like a NaN neighbour value in
-    # wmsr_update, it is neither greater, smaller nor equal, so never kept.
+    # One W-MSR step for every normal vehicle at once.  Row r of nbr lists
+    # the neighbours of normal[r], padded with index n, which reads NaN: it
+    # is neither greater, smaller nor equal to the own value, so never kept.
     rows = np.array(normal)
     nbr_lists = [neighbors(g, i) for i in normal]
     width = max(len(nl) for nl in nbr_lists)
@@ -181,9 +157,11 @@ def run_wmsr(
     row_of = np.arange(len(normal))[:, None]
     pos = np.arange(width)
     ext = np.full(n + 1, np.nan)
-    # kept values in wmsr_update's order after a 0.0 column, so that the
-    # running sum along a row adds them as it does, from 0.0, left to right;
-    # a dropped value is a 0.0 there, which leaves the sum as it is
+    # The kept values are added from 0.0, left to right, in a fixed order:
+    # the greater ones largest first, then the smaller ones smallest first,
+    # then the equal ones.  They sit in that order after a 0.0 column, so
+    # the running sum along a row adds them so; a dropped value is a 0.0
+    # there, which leaves the sum as it is.
     summands = np.zeros((len(normal), width + 1))
 
     violations: list[tuple[int, int]] = []
@@ -203,7 +181,7 @@ def run_wmsr(
         n_s = (nv < own).sum(axis=1, keepdims=True)
         n_all = n_g + n_s + (nv == own).sum(axis=1, keepdims=True)
         # ascending, a row is [smaller | equal | greater | padding]; read it
-        # as wmsr_update orders it: greater descending, smaller, equal
+        # in summation order: greater descending, smaller, equal
         ascending = np.sort(nv, axis=1)
         order = np.where(pos < n_g, n_all - 1 - pos, pos - n_g)
         kept = np.where(pos < n_g, pos >= f, (pos >= n_g + f) | (pos >= n_g + n_s))

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graph import Graph, neighbors
+from .graph import Graph, laplacian, neighbors
 
 
 class ModelMismatchError(RuntimeError):
@@ -35,14 +35,11 @@ class WeightMatrix:
         n = self.graph.n
         if w.shape != (n, n):
             raise ValueError(f"weight matrix must be {n}x{n}, got {w.shape}")
-        support = self.graph._adjacency + np.eye(n, dtype=np.int64)
-        if np.any((support == 0) & (w != 0.0)):
+        # the Laplacian is nonzero on every edge; the diagonal is support too
+        off_support = (laplacian(self.graph) == 0) & ~np.eye(n, dtype=bool)
+        if np.any(off_support & (w != 0.0)):
             raise ValueError("weight matrix has entries off the graph support")
         object.__setattr__(self, "matrix", w)
-
-    def is_row_stochastic(self, tol: float = 1e-12) -> bool:
-        w = self.matrix
-        return bool(np.all(w >= 0.0) and np.max(np.abs(w.sum(axis=1) - 1.0)) <= tol)
 
 
 def random_weights(g: Graph, seed: int) -> WeightMatrix:
@@ -81,9 +78,6 @@ class FaultScenario:
             if not 0 <= k < self.horizon:
                 raise ValueError(f"phi step {k} outside 0..{self.horizon - 1}")
 
-    def phi_vector(self, step: int) -> np.ndarray:
-        return np.array([self.phi.get((v, step), 0.0) for v in self.faulty])
-
 
 def simulate_faulty(W: WeightMatrix, x0, scenario: FaultScenario) -> np.ndarray:
     """State trace x[0..horizon] under x[k+1] = W x[k] + A phi[k]."""
@@ -103,27 +97,21 @@ def simulate_faulty(W: WeightMatrix, x0, scenario: FaultScenario) -> np.ndarray:
     return states
 
 
-def packet_drop_fault(W: WeightMatrix, trace: np.ndarray, i: int, k: int) -> float:
-    """Fault value a vehicle would inject at step k if its incoming neighbor
-    packets were all lost: phi_i[k] = -sum_{j in N(i)} w_ij x_j[k]."""
-    x = np.asarray(trace)[k]
-    nbrs = neighbors(W.graph, i)
-    return float(-np.dot(W.matrix[i, nbrs], x[nbrs]))
-
-
 def packet_drop_scenario(
     W: WeightMatrix, x0, vehicle: int, horizon: int
 ) -> tuple[FaultScenario, np.ndarray]:
     """Forward-simulate a total packet loss at one vehicle, recording the
-    equivalent fault signal.  Returns (scenario, states); simulate_faulty on
-    the returned scenario reproduces the same states."""
+    equivalent fault signal: the vehicle loses all its neighbours' packets,
+    as if vehicle i injected phi[k] = -sum_{j in N(i)} w_ij x_j[k].  Returns
+    (scenario, states); simulate_faulty on the returned scenario reproduces
+    the same states."""
     n = W.graph.n
-    x0 = np.asarray(x0, dtype=np.float64)
+    nbrs = neighbors(W.graph, vehicle)
     states = np.zeros((horizon + 1, n))
-    states[0] = x0
+    states[0] = np.asarray(x0, dtype=np.float64)
     phi: dict[tuple[int, int], float] = {}
     for k in range(horizon):
-        val = packet_drop_fault(W, states, vehicle, k)
+        val = float(-np.dot(W.matrix[vehicle, nbrs], states[k][nbrs]))
         phi[(vehicle, k)] = val
         nxt = W.matrix @ states[k]
         nxt[vehicle] = nxt[vehicle] + val

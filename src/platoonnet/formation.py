@@ -25,7 +25,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .graph import Graph, components, incidence, laplacian
+from .graph import Graph, algebraic_connectivity, components, incidence, laplacian
 
 BRANCH_UNDERDAMPED = "underdamped-peak"
 BRANCH_STATIC = "static-gain"
@@ -51,20 +51,6 @@ class FormationSystem:
         return laplacian(self.graph).astype(np.float64)
 
     @cached_property
-    def lap_eigenvalues(self) -> np.ndarray:
-        return np.linalg.eigvalsh(self.lap)
-
-    @cached_property
-    def delta(self) -> np.ndarray:
-        """Per-vehicle spacing offset: Delta_i = d0 * sum_{j in N(i)} (j - i)."""
-        n = self.graph.n
-        d = np.zeros(n)
-        for i, j in self.graph.edges:
-            d[i] += self.d0 * (j - i)
-            d[j] += self.d0 * (i - j)
-        return d
-
-    @cached_property
     def a_mat(self) -> np.ndarray:
         n = self.graph.n
         a = np.zeros((2 * n, 2 * n))
@@ -72,20 +58,6 @@ class FormationSystem:
         a[n:, :n] = -self.kp * self.lap
         a[n:, n:] = -self.ku * self.lap
         return a
-
-    @cached_property
-    def b_affine(self) -> np.ndarray:
-        n = self.graph.n
-        b = np.zeros(2 * n)
-        b[n:] = self.kp * self.delta
-        return b
-
-    @cached_property
-    def f_mat(self) -> np.ndarray:
-        n = self.graph.n
-        f = np.zeros((2 * n, n))
-        f[n:, :] = np.eye(n)
-        return f
 
     @cached_property
     def c_mat(self) -> np.ndarray:
@@ -109,10 +81,8 @@ class FormationSystem:
     @cached_property
     def lambda2(self) -> float:
         """Second-smallest Laplacian eigenvalue; exactly 0.0 for one vehicle or
-        a disconnected graph, where eigvalsh can leave a residue such as 4e-17."""
-        if self.graph.n < 2 or len(components(self.graph)) > 1:
-            return 0.0
-        return float(self.lap_eigenvalues[1])
+        a disconnected graph."""
+        return algebraic_connectivity(self.graph)
 
 
 def build_formation(g: Graph, kp: float, ku: float, d0: float = 10.0) -> FormationSystem:
@@ -139,16 +109,6 @@ def hinf_closed_form(lambda2: float, kp: float, ku: float) -> tuple[float, str]:
 _ZERO_MODE_TOL = 1e-9
 
 
-def modal_hinf(lam: float, kp: float, ku: float) -> float:
-    """Worst-case gain of the single-mode transfer
-    sqrt(lam) / (s^2 + ku lam s + kp lam); zero for the lam = 0 mode."""
-    if lam < -_ZERO_MODE_TOL:
-        raise ValueError("Laplacian eigenvalues cannot be negative")
-    if lam <= _ZERO_MODE_TOL:
-        return 0.0
-    return hinf_closed_form(lam, kp, ku)[0]
-
-
 def modal_peak_frequency(lam: float, kp: float, ku: float) -> float:
     """Frequency of the single-mode gain peak: sqrt(kp lam - ku^2 lam^2 / 2)
     when positive (underdamped branch), else 0 (peak at DC)."""
@@ -156,14 +116,6 @@ def modal_peak_frequency(lam: float, kp: float, ku: float) -> float:
         return 0.0
     arg = kp * lam - 0.5 * ku * ku * lam * lam
     return math.sqrt(arg) if arg > 0 else 0.0
-
-
-def modal_gain(lam: float, kp: float, ku: float, omega: float) -> float:
-    """|sqrt(lam) / ((jw)^2 + ku lam jw + kp lam)| at w = omega."""
-    if lam <= _ZERO_MODE_TOL:
-        return 0.0
-    den = complex(kp * lam - omega * omega, ku * lam * omega)
-    return math.sqrt(lam) / abs(den)
 
 
 @dataclass(frozen=True)
@@ -268,49 +220,6 @@ def hinf_sweep(system: FormationSystem, output: np.ndarray | None = None) -> Swe
             return SweepResult(value=best, frequency=freq, grid_points=evaluations)
     raise RuntimeError(
         f"H-infinity level-set iteration did not converge in {_HINF_MAX_ITER} steps"
-    )
-
-
-def sqrt_laplacian_output(system: FormationSystem) -> np.ndarray:
-    """Alternative output matrix [L^{1/2}, 0]: same gain at every frequency
-    as the incidence-transpose output (L^{1/2} = V diag(sqrt(lambda)) V^T,
-    with the zero eigenvalue clamped)."""
-    n = system.graph.n
-    w, v = np.linalg.eigh(system.lap)
-    w = np.clip(w, 0.0, None)
-    half = (v * np.sqrt(w)) @ v.T
-    c = np.zeros((n, 2 * n))
-    c[:, :n] = half
-    return c
-
-
-@dataclass(frozen=True)
-class HinfReport:
-    lambda2: float
-    closed_form: float
-    branch: str
-    analytic_peak_frequency: float
-    sweep_value: float
-    sweep_frequency: float
-    per_mode: tuple[tuple[float, float], ...]  # (eigenvalue, modal gain)
-
-
-def hinf_report(system: FormationSystem) -> HinfReport:
-    lam2 = system.lambda2
-    value, branch = hinf_closed_form(lam2, system.kp, system.ku)
-    sweep = hinf_sweep(system)
-    per_mode = tuple(
-        (float(lam), modal_hinf(float(lam), system.kp, system.ku))
-        for lam in system.lap_eigenvalues
-    )
-    return HinfReport(
-        lambda2=lam2,
-        closed_form=value,
-        branch=branch,
-        analytic_peak_frequency=modal_peak_frequency(lam2, system.kp, system.ku),
-        sweep_value=sweep.value,
-        sweep_frequency=sweep.frequency,
-        per_mode=per_mode,
     )
 
 
@@ -439,30 +348,24 @@ class HinfGridRow:
     sweep_value: float | None = None
 
 
-def hinf_grid(n_values, k_values, kp: float, ku: float, spot_check=()) -> list[HinfGridRow]:
-    """Closed-form gain surface over platoon sizes and neighbor ranges,
-    with numerical sweep spot-checks on the requested (n, k) subset."""
+def hinf_grid(pairs, kp: float, ku: float, spot_check=frozenset()) -> list[HinfGridRow]:
+    """Closed-form gain surface over platoon (n, k) pairs, in the given
+    order, with numerical sweep spot-checks on the pairs in spot_check."""
     from .graph import PlatoonSpec, build_knn_platoon, lambda2_bounds
 
-    spots = {(int(a), int(b)) for a, b in spot_check}
     rows = []
-    for n in n_values:
-        for k in k_values:
-            if not 1 <= k <= n - 1:
-                continue
-            spec = PlatoonSpec(n, k)
-            system = build_formation(build_knn_platoon(spec), kp, ku)
-            lam2 = system.lambda2
-            value, branch = hinf_closed_form(lam2, kp, ku)
-            lower, upper = lambda2_bounds(spec)
-            sweep_val = None
-            if (n, k) in spots:
-                sweep_val = hinf_sweep(system).value
-            rows.append(
-                HinfGridRow(
-                    n=int(n), k=int(k), kp=float(kp), ku=float(ku),
-                    lambda2=lam2, lower=lower, upper=upper,
-                    hinf=value, branch=branch, sweep_value=sweep_val,
-                )
+    for n, k in pairs:
+        spec = PlatoonSpec(n, k)
+        system = build_formation(build_knn_platoon(spec), kp, ku)
+        lam2 = system.lambda2
+        value, branch = hinf_closed_form(lam2, kp, ku)
+        lower, upper = lambda2_bounds(spec)
+        sweep_val = hinf_sweep(system).value if (n, k) in spot_check else None
+        rows.append(
+            HinfGridRow(
+                n=spec.n, k=spec.k, kp=float(kp), ku=float(ku),
+                lambda2=lam2, lower=lower, upper=upper,
+                hinf=value, branch=branch, sweep_value=sweep_val,
             )
+        )
     return rows

@@ -82,14 +82,6 @@ class Graph:
         return len(self.edges)
 
     @cached_property
-    def _adjacency(self) -> np.ndarray:
-        a = np.zeros((self.n, self.n), dtype=np.int64)
-        for i, j in self.edges:
-            a[i, j] = 1
-            a[j, i] = 1
-        return a
-
-    @cached_property
     def _neighbor_lists(self) -> tuple[tuple[int, ...], ...]:
         nbrs: list[list[int]] = [[] for _ in range(self.n)]
         for i, j in self.edges:
@@ -110,8 +102,7 @@ class Graph:
         return tuple(masks)
 
     def has_edge(self, a: int, b: int) -> bool:
-        i, j = (a, b) if a < b else (b, a)
-        return bool(self._adjacency[i, j])
+        return bool(self.neighbor_bitmasks[a] >> b & 1)
 
 
 @dataclass(frozen=True)
@@ -153,20 +144,30 @@ def lambda2_bounds(spec: PlatoonSpec) -> tuple[float, float]:
     return lower, upper
 
 
-def adjacency(g: Graph) -> np.ndarray:
-    """Symmetric 0/1 adjacency matrix with zero diagonal (int64)."""
-    return g._adjacency.copy()
-
-
 def degrees(g: Graph) -> np.ndarray:
     """Vertex degrees (int64)."""
-    return g._adjacency.sum(axis=1)
+    return np.array([len(nbrs) for nbrs in g._neighbor_lists], dtype=np.int64)
 
 
 def laplacian(g: Graph) -> np.ndarray:
     """Graph Laplacian L = D - A (int64)."""
-    a = g._adjacency
-    return np.diag(a.sum(axis=1)) - a
+    lap = np.diag(degrees(g))
+    for i, j in g.edges:
+        lap[i, j] = lap[j, i] = -1
+    return lap
+
+
+def algebraic_connectivity(g: Graph) -> float:
+    """Second-smallest Laplacian eigenvalue (dense symmetric eigensolver).
+
+    Exactly 0.0 for one vertex or a disconnected graph, whose Laplacian has
+    one zero eigenvalue per component (eigvalsh can leave a residue such as
+    4e-17 for the second); the eigensolver is not run.
+    """
+    if g.n < 2 or len(components(g)) > 1:
+        return 0.0
+    w = np.linalg.eigvalsh(laplacian(g).astype(np.float64))
+    return float(w[1])
 
 
 def incidence(g: Graph) -> np.ndarray:
@@ -215,17 +216,10 @@ def save_graph(g: Graph, path) -> None:
     Edges one per line, i < j, lexicographically sorted; UTF-8 with a
     trailing newline.
     """
-    lines = [f"  \"n\": {g.n},"]
-    if g.edges:
-        lines.append("  \"edges\": [")
-        body = ",\n".join(f"    [{i}, {j}]" for i, j in g.edges)
-        lines.append(body)
-        lines.append("  ]")
-    else:
-        lines.append("  \"edges\": []")
-    text = "{\n" + "\n".join(lines) + "\n}\n"
+    body = ",\n".join(f"    [{i}, {j}]" for i, j in g.edges)
+    edges = f"[\n{body}\n  ]" if g.edges else "[]"
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(text)
+        fh.write(f'{{\n  "n": {g.n},\n  "edges": {edges}\n}}\n')
 
 
 def _locate_line(text: str, a: int, b: int, occurrence: int = 1) -> int | None:

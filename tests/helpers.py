@@ -1,4 +1,5 @@
-"""Shared test utilities: seeded random graph generation and references."""
+"""Shared test utilities: seeded random graph generation and the reference
+implementations (oracles) that only the tests run."""
 
 from __future__ import annotations
 
@@ -9,17 +10,24 @@ from fractions import Fraction
 import numpy as np
 
 from platoonnet.connectivity import _reach_table
-from platoonnet.consensus import wmsr_update
 from platoonnet.estimation import (
     RANK_RCOND,
     CandidateFit,
+    FaultScenario,
     MeasurementTrace,
     ModelMismatchError,
     RecoveryResult,
     WeightMatrix,
     observation_model,
 )
-from platoonnet.formation import FormationTrace, SweepResult, modal_peak_frequency
+from platoonnet.formation import (
+    _ZERO_MODE_TOL,
+    FormationSystem,
+    FormationTrace,
+    SweepResult,
+    hinf_closed_form,
+    modal_peak_frequency,
+)
 from platoonnet.graph import Graph, degrees, neighbors
 
 
@@ -66,6 +74,15 @@ def missing_edges(g: Graph) -> list[tuple[int, int]]:
         for j in range(i + 1, g.n)
         if (i, j) not in present
     ]
+
+
+def is_r_reachable(g: Graph, S, r: int) -> bool:
+    """True iff some vertex of S has at least r neighbors outside S."""
+    S = {int(v) for v in S}
+    if not S or not S <= set(range(g.n)):
+        raise ValueError(f"S must be a nonempty set of vertices below n={g.n}, got {sorted(S)}")
+    mask = sum(1 << v for v in S)
+    return any((g.neighbor_bitmasks[v] & ~mask).bit_count() >= r for v in S)
 
 
 def brute_force_robustness(g: Graph) -> int:
@@ -170,13 +187,65 @@ def brute_force_vertex_connectivity(g: Graph) -> int:
     return n - 1
 
 
+def lap_eigenvalues(system: FormationSystem) -> np.ndarray:
+    """All Laplacian eigenvalues of the formation's graph, ascending."""
+    return np.linalg.eigvalsh(system.lap)
+
+
+def delta(system: FormationSystem) -> np.ndarray:
+    """Per-vehicle spacing offset: Delta_i = d0 * sum_{j in N(i)} (j - i)."""
+    d = np.zeros(system.graph.n)
+    for i, j in system.graph.edges:
+        d[i] += system.d0 * (j - i)
+        d[j] += system.d0 * (i - j)
+    return d
+
+
+def b_affine(system: FormationSystem) -> np.ndarray:
+    """Affine term b = [0; kp Delta] of xdot = A x + b + F w."""
+    return np.concatenate([np.zeros(system.graph.n), system.kp * delta(system)])
+
+
+def f_mat(system: FormationSystem) -> np.ndarray:
+    """Disturbance input F = [0; I]: w drives the velocities."""
+    n = system.graph.n
+    return np.vstack([np.zeros((n, n)), np.eye(n)])
+
+
+def modal_hinf(lam: float, kp: float, ku: float) -> float:
+    """Worst-case gain of the single-mode transfer
+    sqrt(lam) / (s^2 + ku lam s + kp lam); zero for the lam = 0 mode."""
+    if lam < -_ZERO_MODE_TOL:
+        raise ValueError("Laplacian eigenvalues cannot be negative")
+    if lam <= _ZERO_MODE_TOL:
+        return 0.0
+    return hinf_closed_form(lam, kp, ku)[0]
+
+
+def modal_gain(lam: float, kp: float, ku: float, omega: float) -> float:
+    """|sqrt(lam) / ((jw)^2 + ku lam jw + kp lam)| at w = omega."""
+    if lam <= _ZERO_MODE_TOL:
+        return 0.0
+    den = complex(kp * lam - omega * omega, ku * lam * omega)
+    return math.sqrt(lam) / abs(den)
+
+
+def sqrt_laplacian_output(system: FormationSystem) -> np.ndarray:
+    """Alternative output matrix [L^{1/2}, 0]: same gain at every frequency
+    as the incidence-transpose output (L^{1/2} = V diag(sqrt(lambda)) V^T,
+    with the zero eigenvalue clamped)."""
+    w, v = np.linalg.eigh(system.lap)
+    half = (v * np.sqrt(np.clip(w, 0.0, None))) @ v.T
+    return np.hstack([half, np.zeros_like(half)])
+
+
 def rk4_formation(system, disturbance=None, T=10.0, h=1e-3, x0=None, record_every=1):
     """Reference for simulate_formation: fixed-step RK4 on xdot = A x + b + F w(t),
     with w(t) evaluated from the Disturbance parts at each stage.  Its error
     is O(h^4); h must keep h * max|pole| inside the RK4 stability region."""
     n = system.graph.n
     x = system.equilibrium_state.copy() if x0 is None else np.array(x0, dtype=np.float64)
-    a_mat, b_aff, f_mat = system.a_mat, system.b_affine, system.f_mat
+    a_mat, b_aff, f_in = system.a_mat, b_affine(system), f_mat(system)
 
     def w_at(t):
         w = np.zeros(n)
@@ -190,7 +259,7 @@ def rk4_formation(system, disturbance=None, T=10.0, h=1e-3, x0=None, record_ever
         return w
 
     def deriv(t, state):
-        return a_mat @ state + b_aff + f_mat @ w_at(t)
+        return a_mat @ state + b_aff + f_in @ w_at(t)
 
     steps = int(round(T / h))
     times, states = [0.0], [x.copy()]
@@ -219,13 +288,14 @@ def grid_hinf_sweep(system, output=None, n_log=2000, n_window=50, refine=True) -
     so the static end is only approached from the 1e-3 rad/s grid floor."""
     n2 = system.a_mat.shape[0]
     out = system.c_mat if output is None else output
+    f_in = f_mat(system)
 
     def sigma_max(w):
-        x = np.linalg.solve((1j * w) * np.eye(n2) - system.a_mat, system.f_mat)
+        x = np.linalg.solve((1j * w) * np.eye(n2) - system.a_mat, f_in)
         return float(np.linalg.svd(out @ x, compute_uv=False)[0])
 
     parts = [np.geomspace(1e-3, 1e3, n_log)]
-    for lam in system.lap_eigenvalues:
+    for lam in lap_eigenvalues(system):
         wbar = modal_peak_frequency(float(lam), system.kp, system.ku)
         if wbar > 0:
             parts.append(np.linspace(0.8 * wbar, 1.2 * wbar, n_window))
@@ -258,6 +328,29 @@ def grid_hinf_sweep(system, output=None, n_log=2000, n_window=50, refine=True) -
     return SweepResult(value=value, frequency=float(freq), grid_points=len(grid))
 
 
+def wmsr_update(own: float, neighbor_values, f: int) -> float:
+    """One trimmed-average step: the scalar reference for run_wmsr.
+
+    neighbor_values is a sequence of (vehicle, value).  Up to f values
+    strictly greater than own are removed (largest first) and up to f
+    strictly smaller (smallest first); values equal to own are never removed.
+    Which of several tied values is removed cannot change the result.  The
+    kept values, greater ones largest first, then smaller ones smallest
+    first, then equal ones, are added left to right and averaged uniformly
+    with own.
+    """
+    if f < 0:
+        raise ValueError("f must be >= 0")
+    greater = sorted((val for _, val in neighbor_values if val > own), reverse=True)
+    smaller = sorted(val for _, val in neighbor_values if val < own)
+    equal = [val for _, val in neighbor_values if val == own]
+    kept = greater[f:] + smaller[f:] + equal
+    total = 0.0
+    for val in kept:  # not sum(): it is compensated on Python >= 3.12
+        total += val
+    return (own + total) / (1 + len(kept))
+
+
 def wmsr_loop(g: Graph, x0, adversaries, f: int, T: int):
     """Reference for run_wmsr: wmsr_update applied vehicle by vehicle.
     Returns (values, safety violations, converged_at) for tol = 1e-9."""
@@ -287,6 +380,17 @@ def wmsr_loop(g: Graph, x0, adversaries, f: int, T: int):
                 violations.append((k + 1, i))
         values[k + 1] = nxt
     return values, violations, converged_at
+
+
+def is_row_stochastic(W: WeightMatrix, tol: float = 1e-12) -> bool:
+    w = W.matrix
+    return bool(np.all(w >= 0.0) and np.max(np.abs(w.sum(axis=1) - 1.0)) <= tol)
+
+
+def phi_vector(scenario: FaultScenario, step: int) -> np.ndarray:
+    """The injected values of the faulty vehicles at one step, in sorted
+    vehicle order (zero where the scenario names none)."""
+    return np.array([scenario.phi.get((v, step), 0.0) for v in scenario.faulty])
 
 
 def joint_lstsq_recover(trace: MeasurementTrace, W: WeightMatrix, f: int) -> RecoveryResult:

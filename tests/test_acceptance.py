@@ -13,7 +13,6 @@ import numpy as np
 from platoonnet.connectivity import (
     algebraic_connectivity,
     edge_connectivity,
-    is_r_reachable,
     isoperimetric_constant,
     knn_closed_forms,
     lambda2_bounds,
@@ -40,7 +39,7 @@ from platoonnet.formation import (
 )
 from platoonnet.graph import Graph, PlatoonSpec, build_knn_platoon, degrees
 
-from helpers import missing_edges, random_connected_graph
+from helpers import is_r_reachable, missing_edges, random_connected_graph
 
 CRITERIA_LOG: list[tuple[int, bool, str]] = []
 

@@ -1,9 +1,12 @@
+import ast
 import csv
 import importlib
 import io
 import json
+import re
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -130,6 +133,16 @@ def test_analyze_limit_zero_is_a_limit(tmp_path, capsys):
     report = json.loads(next(out.glob("analyze-*.json")).read_text())
     assert report["robustness"] is None and report["isoperimetric"] is None
     assert report["robustness_note"] == report["isoperimetric_note"] == "skipped: n too large"
+
+
+@pytest.mark.parametrize("limit", ["23", "-1", "40"])
+def test_analyze_rejects_a_limit_outside_the_ceiling(tmp_path, capsys, limit):
+    out = tmp_path / "out"
+    code = main(["analyze", "--platoon", "10,3", "--exhaustive-limit", limit, "--out", str(out)])
+    assert code == 2
+    err = capsys.readouterr().err.splitlines()
+    assert err == [f"error: --exhaustive-limit must lie in 0..22, got {limit}"]
+    assert not out.exists()
 
 
 def test_analyze_refusal_without_platoon_has_no_closed_form(tmp_path, capsys):
@@ -535,9 +548,13 @@ def test_sweep_csv_surface(tmp_path):
 
 
 def test_sweep_no_spot_checks(tmp_path):
-    assert main(["sweep", "--n", "6", "--k", "2", "--kp", "5", "--ku", "10",
+    # (5, 5) breaks 1 <= k <= n - 1 and is left out of the surface
+    assert main(["sweep", "--n", "5:6", "--k", "1,2,5", "--kp", "5", "--ku", "10",
                  "--spot-check", "none", "--out", str(tmp_path)]) == 0
-    assert read_manifest(tmp_path)["results"]["spot_checks"] == []
+    manifest = read_manifest(tmp_path)
+    assert manifest["results"]["spot_checks"] == []
+    rows = read_csv(tmp_path / manifest["outputs"][0])
+    assert [r[:2] for r in rows[1:]] == [["5", "1"], ["5", "2"], ["6", "1"], ["6", "2"], ["6", "5"]]
 
 
 def test_sweep_range_validation(capsys):
@@ -625,11 +642,12 @@ def test_help_and_unknown_flags():
 def test_exhaustive_limit_help_names_the_default_limits(capsys):
     # the numbers are written into the help text so that `--help` does not
     # import the connectivity module
-    from platoonnet.connectivity import ISO_LIMIT, ROBUSTNESS_LIMIT
+    from platoonnet.connectivity import EXHAUSTIVE_CEILING, ISO_LIMIT, ROBUSTNESS_LIMIT
 
     with pytest.raises(SystemExit):
         main(["analyze", "--help"])
     text = " ".join(capsys.readouterr().out.split())
+    assert f"limits, 0 to {EXHAUSTIVE_CEILING} " in text
     assert f"(defaults: robustness {ROBUSTNESS_LIMIT}, isoperimetric {ISO_LIMIT})" in text
 
 
@@ -746,6 +764,26 @@ def test_package_exports_resolve_to_their_modules():
         platoonnet.no_such_name
     with pytest.raises(ImportError):
         exec("from platoonnet import no_such_name", {})
+
+
+def test_library_holds_no_test_only_names():
+    # A public name that no other line of src/ mentions, that is not exported
+    # and that the README does not document runs only in the tests: such an
+    # oracle belongs in tests/helpers.py.  Public: the top-level functions
+    # and classes, and the methods of the classes, not named _*.
+    root = Path(__file__).resolve().parent.parent
+    texts = [path.read_text(encoding="utf-8") for path in sorted((root / "src/platoonnet").glob("*.py"))]
+    readme = (root / "README.md").read_text(encoding="utf-8")
+    nodes = [node for text in texts for top in ast.parse(text).body
+             for node in [top, *(top.body if isinstance(top, ast.ClassDef) else [])]]
+    defined = Counter(node.name for node in nodes if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+                      and not node.name.startswith("_"))
+    unused = [
+        name for name, count in sorted(defined.items())
+        if sum(len(re.findall(rf"\b{name}\b", text)) for text in texts) <= count
+        and name not in platoonnet.__all__ and not re.search(rf"\b{name}\b", readme)
+    ]
+    assert unused == []
 
 
 def test_manifest_version_is_the_project_version(tmp_path):

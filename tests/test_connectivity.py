@@ -5,15 +5,18 @@ from itertools import combinations
 import numpy as np
 import pytest
 
+import platoonnet.connectivity as connectivity
 from helpers import (
     brute_force_robustness,
     brute_force_vertex_connectivity,
     edge_sum_isoperimetric,
+    is_r_reachable,
     pair_scan_robustness,
     random_connected_graph,
     random_graph,
 )
 from platoonnet.connectivity import (
+    EXHAUSTIVE_CEILING,
     ExhaustiveLimitError,
     ISO_LIMIT,
     ROBUSTNESS_LIMIT,
@@ -21,7 +24,6 @@ from platoonnet.connectivity import (
     connectivity_report,
     edge_connectivity,
     is_connected,
-    is_r_reachable,
     isoperimetric_constant,
     knn_closed_forms,
     lambda2_bounds,
@@ -216,6 +218,16 @@ def test_robustness_refuses_large_graphs():
     with pytest.raises(ExhaustiveLimitError):
         robustness(small, limit=5)
     assert robustness(small, limit=8) == robustness(small) == 3
+
+
+def test_no_limit_reaches_past_the_ceiling(monkeypatch):
+    # any numpy call would start a 2^23 table: the refusal must come first
+    g = build_knn_platoon(PlatoonSpec(EXHAUSTIVE_CEILING + 1, 1))
+    monkeypatch.setattr(connectivity, "np", None)
+    with pytest.raises(ExhaustiveLimitError, match="robustness on n=23 exceeds limit 22"):
+        robustness(g, limit=40)
+    with pytest.raises(ExhaustiveLimitError, match="isoperimetric constant on n=23 exceeds limit 22"):
+        isoperimetric_constant(g, limit=40)
 
 
 # ----------------------------------------------------------- isoperimetric

@@ -13,12 +13,11 @@ from platoonnet.consensus import (
     Sinusoid,
     is_f_local,
     run_wmsr,
-    wmsr_update,
 )
 from platoonnet.cli import load_consensus_scenario, scenario_x0
 from platoonnet.graph import PlatoonSpec, build_knn_platoon
 
-from helpers import wmsr_loop
+from helpers import wmsr_loop, wmsr_update
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 

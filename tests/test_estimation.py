@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from helpers import joint_lstsq_recover
+from helpers import is_row_stochastic, joint_lstsq_recover, phi_vector
 from platoonnet import estimation
 from platoonnet.estimation import (
     RANK_RCOND,
@@ -59,9 +59,9 @@ def test_weight_matrix_rejects_off_support_entries():
 def test_row_stochastic_check():
     g = build_knn_platoon(PlatoonSpec(4, 2))
     raw = random_weights(g, 1).matrix
-    assert not WeightMatrix(g, raw).is_row_stochastic()
+    assert not is_row_stochastic(WeightMatrix(g, raw))
     normalized = raw / raw.sum(axis=1, keepdims=True)
-    assert WeightMatrix(g, normalized).is_row_stochastic()
+    assert is_row_stochastic(WeightMatrix(g, normalized))
 
 
 # ------------------------------------------------------------- simulation
@@ -120,7 +120,7 @@ def test_stacked_model_matches_simulation_exactly():
         states = simulate_faulty(W, x0, sc)
         trace = observe(g, states, 0)
         obs, forced = observation_model(W, 0, n + 1, faulty)
-        stacked_phi = np.concatenate([sc.phi_vector(s) for s in range(n)])
+        stacked_phi = np.concatenate([phi_vector(sc, s) for s in range(n)])
         y_pred = obs @ x0 + forced @ stacked_phi
         y_true = trace.y.reshape(-1)
         assert np.max(np.abs(y_pred - y_true)) < 1e-9 * (1 + np.max(np.abs(y_true)))

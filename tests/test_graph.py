@@ -1,15 +1,19 @@
 import json
 
+import networkx as nx
 import numpy as np
 import pytest
 
 import platoonnet.graph as graph_module
+from helpers import random_graph
+from platoonnet.formation import build_formation
 from platoonnet.graph import (
     Graph,
     GraphFormatError,
     PlatoonSpec,
-    adjacency,
+    algebraic_connectivity,
     build_knn_platoon,
+    components,
     degrees,
     incidence,
     laplacian,
@@ -38,8 +42,32 @@ def test_platoon_small_example_adjacency():
             [0, 0, 1, 1, 0],
         ]
     )
-    assert np.array_equal(adjacency(g), expected)
+    assert np.array_equal(np.diag(degrees(g)) - laplacian(g), expected)
+    assert [[int(g.has_edge(i, j)) for j in range(5)] for i in range(5)] == expected.tolist()
     assert g.edges == ((0, 1), (0, 2), (1, 2), (1, 3), (2, 3), (2, 4), (3, 4))
+
+
+def test_matrix_views_agree_with_networkx():
+    # laplacian, degrees and has_edge all read the edge list; networkx's
+    # adjacency matrix is an independent reading of the same edges
+    rng = np.random.default_rng(11)
+    graphs = [Graph.from_edges(1, [])] + [random_graph(rng, 2, 12) for _ in range(120)]
+    connected = [len(components(g)) == 1 for g in graphs]
+    assert 20 <= sum(connected) <= len(graphs) - 20  # both kinds are drawn
+    for g in graphs:
+        nxg = nx.Graph()
+        nxg.add_nodes_from(range(g.n))
+        nxg.add_edges_from(g.edges)
+        adj = nx.to_numpy_array(nxg, nodelist=range(g.n), dtype=np.int64)
+        deg, lap = degrees(g), laplacian(g)
+        assert deg.dtype == lap.dtype == np.int64
+        assert np.array_equal(deg, adj.sum(axis=1))
+        assert np.array_equal(lap, np.diag(adj.sum(axis=1)) - adj)
+        assert [[g.has_edge(i, j) for j in range(g.n)] for i in range(g.n)] == (adj == 1).tolist()
+        # one lambda2: the formation's is the connectivity measure, bit for bit
+        lam2 = algebraic_connectivity(g)
+        assert build_formation(g, 5.0, 10.0).lambda2.hex() == lam2.hex()
+        assert (lam2 > 0) == (g.n > 1 and nx.is_connected(nxg))
 
 
 def test_platoon_degree_range():

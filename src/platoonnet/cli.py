@@ -37,8 +37,7 @@ from .graph import Graph, PlatoonSpec, build_knn_platoon, load_graph, read_json
 # code.  The names are bound as globals of this module, where the
 # subcommands look them up and where a caller may replace them.
 _IMPORTS = {
-    "connectivity": ("EXHAUSTIVE_CEILING", "ExhaustiveLimitError", "ISO_LIMIT",
-                     "KNN_ROBUSTNESS_VERIFIED_N", "ROBUSTNESS_LIMIT", "connectivity_report",
+    "connectivity": ("EXHAUSTIVE_CEILING", "ExhaustiveLimitError", "connectivity_report",
                      "knn_closed_forms"),
     "consensus": ("Adversary", "Constant", "Ramp", "SeededRandom", "Sinusoid", "is_f_local",
                   "run_wmsr"),
@@ -504,7 +503,11 @@ def _parse_range(text: str) -> list[int]:
             if hi < lo:
                 raise ValueError("empty range")
             return list(range(lo, hi + 1))
-        return [int(p) for p in text.split(",")]
+        values = [int(p) for p in text.split(",")]
+        for i, v in enumerate(values):
+            if v in values[:i]:
+                raise ValueError(f"repeated value {v}")
+        return values
     except ValueError as exc:
         raise ValidationFailure(f"bad range {text!r}: {exc}")
 
@@ -520,8 +523,6 @@ def cmd_analyze(args) -> int:
         raise ValidationFailure(
             f"--exhaustive-limit must lie in 0..{EXHAUSTIVE_CEILING}, got {args.exhaustive_limit}"
         )
-    robust_limit = ROBUSTNESS_LIMIT if args.exhaustive_limit is None else args.exhaustive_limit
-    iso_limit = ISO_LIMIT if args.exhaustive_limit is None else args.exhaustive_limit
 
     platoon = None if args.platoon is None else _parse_platoon(args.platoon)
     graph_cfg = args.graph if platoon is None else {"platoon": [platoon.n, platoon.k]}
@@ -533,39 +534,20 @@ def cmd_analyze(args) -> int:
         "exhaustive_limit": args.exhaustive_limit,
     }
     try:
-        report = connectivity_report(
-            g,
-            robust_limit=robust_limit,
-            iso_limit=iso_limit,
-            require_robustness=args.robustness,
-            require_iso=args.iso,
-            platoon=platoon,
-        )
+        report = connectivity_report(g, limit=args.exhaustive_limit, platoon=platoon,
+                                     require_robustness=args.robustness, require_iso=args.iso)
     except ExhaustiveLimitError as exc:
         print(f"error: {exc}", file=sys.stderr)
         if platoon is not None:
             closed = knn_closed_forms(platoon)
-            print(
-                f"closed-form values for P({platoon.n},{platoon.k}): "
-                f"robustness={closed.robustness}, "
-                f"iso={closed.iso.numerator}/{closed.iso.denominator} "
-                f"(closed-form, not verified exhaustively)",
-                file=sys.stderr,
-            )
-            if closed.robustness_note is not None:
-                why = (
-                    "k > floor(n/2)" if platoon.k > platoon.n // 2
-                    else f"n > {KNN_ROBUSTNESS_VERIFIED_N}"
-                )
-                bounds = (
-                    "and isoperimetric constant are only upper bounds"
-                    if closed.iso_note is not None else "is only an upper bound"
-                )
-                print(
-                    f"warning: {why}; the closed-form robustness (capped at "
-                    f"ceil(n/2)) {bounds} in this regime",
-                    file=sys.stderr,
-                )
+            print(f"closed-form values for P({platoon.n},{platoon.k}): "
+                  f"robustness={closed.robustness}, iso={closed.iso.numerator}/"
+                  f"{closed.iso.denominator} (closed-form, not verified exhaustively)",
+                  file=sys.stderr)
+            for measure, note in (("robustness", closed.robustness_note),
+                                  ("isoperimetric constant", closed.iso_note)):
+                if note is not None:
+                    print(f"warning: {measure}: {note}", file=sys.stderr)
         return EXIT_REFUSED
 
     payload = report.to_json_dict()
@@ -734,16 +716,16 @@ def _build_disturbance(system, cfg: dict):
         resolved = {"kind": "step", "vehicle": vehicle, "amplitude": amplitude}
         return Disturbance(constant=basis), resolved
     omega = cfg.get("omega", "peak")
+    phase = float(cfg.get("phase", 0.0))
     if omega == "peak":
         omega = modal_peak_frequency(system.lambda2, system.kp, system.ku)
+        if omega == 0.0:
+            # static-gain branch: the peak sits at zero frequency and resolves
+            # to a step of amplitude cos(phase); a numeric 0 follows the formula
+            return Disturbance(constant=basis * math.cos(phase)), {
+                "kind": "step", "vehicle": vehicle, "amplitude": amplitude * math.cos(phase),
+            }
     omega = float(omega)
-    phase = float(cfg.get("phase", 0.0))
-    if omega == 0.0:
-        # static-gain branch: the peak sits at zero frequency; a zero-frequency
-        # sinusoid is a constant input
-        return Disturbance(constant=basis * math.cos(phase)), {
-            "kind": "step", "vehicle": vehicle, "amplitude": amplitude * math.cos(phase),
-        }
     resolved = {
         "kind": "sinusoid", "vehicle": vehicle, "amplitude": amplitude,
         "omega": omega, "phase": phase,

@@ -20,7 +20,6 @@ from .graph import (
     Graph,
     PlatoonSpec,
     algebraic_connectivity,
-    build_knn_platoon,
     components,
     degrees,
     lambda2_bounds,
@@ -231,10 +230,10 @@ def isoperimetric_constant(g: Graph, limit: int = ISO_LIMIT) -> tuple[Fraction, 
     return frac, float(frac)
 
 
-_UNVERIFIED = "closed-form, not verified exhaustively"
 # largest n for which robustness(P(n, k)) = k is checked exhaustively for
 # every k <= floor(n/2) (acceptance criterion 2)
 KNN_ROBUSTNESS_VERIFIED_N = 12
+_UPPER_BOUND = "closed-form upper bound, not verified exhaustively: "
 
 
 @dataclass
@@ -244,7 +243,7 @@ class ConnectivityReport:
     n: int
     vertex_conn: int
     edge_conn: int
-    lambda2: float
+    lambda2: float | None
     robustness: int | None = None
     robustness_note: str | None = None
     iso: Fraction | None = None
@@ -271,14 +270,14 @@ def knn_closed_forms(spec: PlatoonSpec) -> ConnectivityReport:
     """Analytic report for P(n, k): vertex connectivity = edge
     connectivity = k, robustness = min(k, ceil(n/2)) and iso = the edges
     leaving the first floor(n/2) vehicles per vehicle, which is
-    k(k+1) / (2 floor(n/2)) for k <= floor(n/2), with lambda2 from the
-    eigensolver plus its analytic bracket.
+    k(k+1) / (2 floor(n/2)) for k <= floor(n/2).  No graph is built and no
+    eigensolver runs: lambda2 is None, and lambda2_bounds its analytic bracket.
 
     The robustness is exact, with no note, only where an exhaustive check
     covers the pair: n <= KNN_ROBUSTNESS_VERIFIED_N and k <= floor(n/2).
-    Everywhere else it carries an 'unverified' note and is an upper bound: no
-    graph is more robust than its minimum degree k, and no n-vertex graph is
-    more than ceil(n/2)-robust.  Robustness = k fails past the table even for
+    Everywhere else it is an upper bound, and its note says why: no graph is
+    more robust than its minimum degree k, and no n-vertex graph is more
+    than ceil(n/2)-robust.  Robustness = k fails past the table even for
     k <= floor(n/2): over n <= 22 the exhaustive value is k - 1 at P(14, 7),
     P(16, 8), P(18, 9), P(19, 9), P(20, 10), P(21, 10), P(22, 10) and
     P(22, 11), and P(9, 5) is only 4-robust.  The isoperimetric value carries
@@ -288,16 +287,17 @@ def knn_closed_forms(spec: PlatoonSpec) -> ConnectivityReport:
     """
     n, k = spec.n, spec.k
     nbar = n // 2
-    robustness_note = None if n <= KNN_ROBUSTNESS_VERIFIED_N and k <= nbar else _UNVERIFIED
-    iso_note = None if k <= nbar else _UNVERIFIED
+    iso_note = _UPPER_BOUND + "k > floor(n/2)" if k > nbar else None
+    robustness_note = iso_note
+    if n > KNN_ROBUSTNESS_VERIFIED_N and k <= nbar:
+        robustness_note = f"{_UPPER_BOUND}n > {KNN_ROBUSTNESS_VERIFIED_N}"
     # vehicle i < nbar reaches i+1..min(n-1, i+k), of which those >= nbar cross
     cut = sum(max(0, min(n - 1, i + k) - nbar + 1) for i in range(nbar))
-    g = build_knn_platoon(spec)
     return ConnectivityReport(
         n=n,
         vertex_conn=k,
         edge_conn=k,
-        lambda2=algebraic_connectivity(g),
+        lambda2=None,
         robustness=min(k, (n + 1) // 2),
         robustness_note=robustness_note,
         iso=Fraction(cut, nbar),
@@ -309,20 +309,21 @@ def knn_closed_forms(spec: PlatoonSpec) -> ConnectivityReport:
 def connectivity_report(
     g: Graph,
     *,
-    robust_limit: int = ROBUSTNESS_LIMIT,
-    iso_limit: int = ISO_LIMIT,
+    limit: int | None = None,
     require_robustness: bool = False,
     require_iso: bool = False,
     platoon: PlatoonSpec | None = None,
 ) -> ConnectivityReport:
-    """Measure every connectivity quantity of g that fits within the limits.
+    """Measure every connectivity quantity of g that fits within the limit.
 
-    Exhaustive measures over the limit are skipped with a note, unless
-    explicitly required, in which case ExhaustiveLimitError propagates.
+    `limit` caps both exhaustive measures; None keeps each at its default.
+    A measure over it is skipped with a note, unless explicitly required, in
+    which case ExhaustiveLimitError propagates before any max-flow runs.
     """
+    rb_limit, iso_limit = (ROBUSTNESS_LIMIT, ISO_LIMIT) if limit is None else (limit, limit)
     rb = rb_note = iso = iso_note = None
-    if g.n <= robust_limit or require_robustness:
-        rb = robustness(g, limit=robust_limit)
+    if g.n <= rb_limit or require_robustness:
+        rb = robustness(g, limit=rb_limit)
     else:
         rb_note = "skipped: n too large"
     if g.n <= iso_limit or require_iso:

@@ -34,6 +34,13 @@ def _is_int(v) -> bool:
     return isinstance(v, (int, np.integer)) and not isinstance(v, bool)
 
 
+def _vertex(g: Graph, i: int) -> int:
+    """i, checked to be a vertex id of g."""
+    if not 0 <= i < g.n:
+        raise ValueError(f"vertex {i} out of range for n={g.n}")
+    return i
+
+
 def _canonical_edges(n: int, edges) -> tuple[tuple[int, int], ...]:
     """Normalize an edge iterable to sorted (i, j) with i < j, checking
     integer pairs, self-loops, range, and duplicates (in either orientation).
@@ -102,7 +109,7 @@ class Graph:
         return tuple(masks)
 
     def has_edge(self, a: int, b: int) -> bool:
-        return bool(self.neighbor_bitmasks[a] >> b & 1)
+        return bool(self.neighbor_bitmasks[_vertex(self, a)] >> _vertex(self, b) & 1)
 
 
 @dataclass(frozen=True)
@@ -185,9 +192,7 @@ def incidence(g: Graph) -> np.ndarray:
 
 def neighbors(g: Graph, i: int) -> list[int]:
     """Sorted neighbor list of vertex i."""
-    if not 0 <= i < g.n:
-        raise ValueError(f"vertex {i} out of range for n={g.n}")
-    return list(g._neighbor_lists[i])
+    return list(g._neighbor_lists[_vertex(g, i)])
 
 
 def components(g: Graph) -> list[list[int]]:

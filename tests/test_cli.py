@@ -3,6 +3,7 @@ import csv
 import importlib
 import io
 import json
+import math
 import re
 import subprocess
 import sys
@@ -15,7 +16,7 @@ import pytest
 import platoonnet
 from platoonnet import cli
 from platoonnet.cli import main
-from platoonnet.connectivity import ROBUSTNESS_LIMIT, connectivity_report
+from platoonnet.connectivity import ROBUSTNESS_LIMIT, connectivity_report, knn_closed_forms
 from platoonnet.graph import PlatoonSpec, build_knn_platoon, save_graph
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
@@ -96,7 +97,11 @@ def test_analyze_refusal_caps_closed_form_robustness(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "robustness=15," in err
     assert "iso=12/1" in err
-    assert "warning: k > floor(n/2)" in err
+    assert [line for line in err.splitlines() if line.startswith("warning:")] == [
+        "warning: robustness: closed-form upper bound, not verified exhaustively: k > floor(n/2)",
+        "warning: isoperimetric constant: closed-form upper bound, not verified exhaustively: "
+        "k > floor(n/2)",
+    ]
 
 
 def test_analyze_refusal_warns_past_the_robustness_table(tmp_path, capsys):
@@ -106,8 +111,9 @@ def test_analyze_refusal_warns_past_the_robustness_table(tmp_path, capsys):
     assert code == 3
     err = capsys.readouterr().err
     assert "robustness=15," in err
-    assert "warning: n > 12; the closed-form robustness" in err
-    assert "is only an upper bound" in err
+    assert [line for line in err.splitlines() if line.startswith("warning:")] == [
+        "warning: robustness: closed-form upper bound, not verified exhaustively: n > 12",
+    ]
 
 
 def test_analyze_limit_override_can_refuse_small(tmp_path, capsys):
@@ -143,6 +149,40 @@ def test_analyze_rejects_a_limit_outside_the_ceiling(tmp_path, capsys, limit):
     err = capsys.readouterr().err.splitlines()
     assert err == [f"error: --exhaustive-limit must lie in 0..22, got {limit}"]
     assert not out.exists()
+
+
+def test_analyze_refusal_warns_with_the_closed_form_notes(tmp_path, capsys):
+    # the refusal's warning lines are the notes of knn_closed_forms, one per
+    # measure that carries a note, and nothing else
+    for n in range(2, 41):
+        for k in range(1, n):
+            code = main(["analyze", "--platoon", f"{n},{k}", "--robustness",
+                         "--exhaustive-limit", "0", "--out", str(tmp_path)])
+            assert code == 3
+            err = capsys.readouterr().err.splitlines()
+            closed = knn_closed_forms(PlatoonSpec(n, k))
+            want = [f"warning: {measure}: {note}" for measure, note in (
+                ("robustness", closed.robustness_note),
+                ("isoperimetric constant", closed.iso_note)) if note is not None]
+            assert err[0] == f"error: exhaustive search refused: robustness on n={n} exceeds limit 0"
+            assert err[1].startswith(f"closed-form values for P({n},{k}): ")
+            assert err[2:] == want, (n, k)
+    assert not (tmp_path / "manifest.json").exists()
+
+
+def test_analyze_refusal_runs_no_eigensolver(tmp_path, capsys, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("eigensolver called behind a refusal")
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", refuse)
+    code = main(["analyze", "--platoon", "3000,3", "--robustness", "--out", str(tmp_path)])
+    assert code == 3
+    assert capsys.readouterr().err.splitlines() == [
+        "error: exhaustive search refused: robustness on n=3000 exceeds limit 19",
+        "closed-form values for P(3000,3): robustness=3, iso=1/250 "
+        "(closed-form, not verified exhaustively)",
+        "warning: robustness: closed-form upper bound, not verified exhaustively: n > 12",
+    ]
 
 
 def test_analyze_refusal_without_platoon_has_no_closed_form(tmp_path, capsys):
@@ -493,6 +533,32 @@ def test_formation_validation(tmp_path, capsys):
     assert "/h" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("phase", [0.0, math.pi / 2])
+def test_formation_zero_omega_follows_the_sinusoid(tmp_path, phase):
+    # amplitude sin(omega t + phase) is continuous in omega: an explicit
+    # omega of 0 is the constant amplitude sin(phase), not a step of cos(phase)
+    results = []
+    for omega in (0.0, 1e-9):
+        config = tmp_path / f"config-{omega}.json"
+        config.write_text(json.dumps({
+            "graph": {"platoon": [6, 2]}, "kp": 5.0, "ku": 10.0, "T": 10.0,
+            "disturbance": {"kind": "sinusoid", "amplitude": 1.0, "omega": omega, "phase": phase},
+        }))
+        out = tmp_path / f"out-{omega}"
+        assert main(["formation", "--config", str(config), "--format", "json",
+                     "--out", str(out)]) == 0
+        manifest = read_manifest(out)
+        assert manifest["config"]["disturbance"]["omega"] == omega
+        with open(out / manifest["outputs"][0]) as fh:
+            results.append((manifest["results"]["max_abs_spacing_error"],
+                            np.array(json.load(fh)["spacing_errors"])))
+    (peak0, errors0), (peak1, errors1) = results
+    assert abs(peak0 - peak1) < 1e-7
+    np.testing.assert_allclose(errors0, errors1, rtol=0, atol=1e-7)
+    if phase:
+        assert peak0 > 0.05  # a constant input of amplitude 1 moves the platoon
+
+
 @pytest.mark.parametrize("graph", [
     {"n": 4, "edges": [[0, 1], [2, 3]]},
     {"n": 5, "edges": [[0, 1], [2, 3], [3, 4]]},  # eigvalsh can leave lambda2 ~ 4e-17
@@ -562,6 +628,19 @@ def test_sweep_range_validation(capsys):
     assert main(["sweep", "--n", "x", "--k", "1", "--kp", "5", "--ku", "10"]) == 2
     assert main(["sweep", "--n", "3", "--k", "9", "--kp", "5", "--ku", "10"]) == 2
     assert "no valid" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flag, text", [("--n", "5,5"), ("--k", "1,2,1")])
+def test_sweep_refuses_a_repeated_value(tmp_path, capsys, flag, text):
+    ranges = {"--n": "5:6", "--k": "1:2", flag: text}
+    argv = ["sweep", *(item for pair in ranges.items() for item in pair),
+            "--kp", "5", "--ku", "10", "--spot-check", "all", "--out", str(tmp_path)]
+    assert main(argv) == 2
+    repeated = text.split(",")[0]
+    assert capsys.readouterr().err.splitlines() == [
+        f"error: bad range {text!r}: repeated value {repeated}"
+    ]
+    assert list(tmp_path.iterdir()) == []
 
 
 @pytest.mark.parametrize("flag", ["--kp", "--ku"])
@@ -784,6 +863,21 @@ def test_library_holds_no_test_only_names():
         and name not in platoonnet.__all__ and not re.search(rf"\b{name}\b", readme)
     ]
     assert unused == []
+
+
+def test_every_lazily_imported_name_is_used():
+    # A name that cli._IMPORTS lists but no line of cli.py uses would be
+    # imported and bound for nothing.  The table holds strings, so only the
+    # uses outside it are Name nodes; the adversary strategies are looked up
+    # by the class name _build_strategy derives from STRATEGY_PARAMS.
+    tree = ast.parse(Path(cli.__file__).read_text(encoding="utf-8"))
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    cli._bind("consensus")
+    used |= {type(cli._build_strategy(kind, {p: float(i) for i, p in enumerate(params)}, 0, 0)).__name__
+             for kind, params in cli.STRATEGY_PARAMS.items()}
+    listed = [name for names in cli._IMPORTS.values() for name in names]
+    assert [name for name in listed if name not in used] == []
+    assert len(cli._IMPORTS["connectivity"]) == 4
 
 
 def test_manifest_version_is_the_project_version(tmp_path):

@@ -330,6 +330,26 @@ def test_connectivity_report_skips_with_note():
         connectivity_report(g, require_robustness=True)
 
 
+@pytest.mark.parametrize("limit", [None, 0, 8, 19, 22])
+def test_one_limit_caps_both_measures(limit):
+    # limit=None leaves each measure at its own default limit; a measure over
+    # its limit is skipped with a note, or refused when it is required
+    skipped = (None, "skipped: n too large")
+    rb_limit = ROBUSTNESS_LIMIT if limit is None else limit
+    iso_limit = ISO_LIMIT if limit is None else limit
+    for n, k in ((2, 1), (8, 3), (9, 4), (20, 3)):
+        g = build_knn_platoon(PlatoonSpec(n, k))
+        rep = connectivity_report(g, limit=limit)
+        want_rb = (robustness(g, limit=rb_limit), None) if n <= rb_limit else skipped
+        want_iso = (isoperimetric_constant(g, limit=iso_limit)[0], None) if n <= iso_limit else skipped
+        assert (rep.robustness, rep.robustness_note) == want_rb, (n, limit)
+        assert (rep.iso, rep.iso_note) == want_iso, (n, limit)
+        for required, own in (("robustness", rb_limit), ("iso", iso_limit)):
+            if n > own:
+                with pytest.raises(ExhaustiveLimitError):
+                    connectivity_report(g, limit=limit, **{f"require_{required}": True})
+
+
 def test_knn_closed_forms_and_caveat():
     rep = knn_closed_forms(PlatoonSpec(12, 4))
     assert rep.vertex_conn == rep.edge_conn == rep.robustness == 4
@@ -339,8 +359,11 @@ def test_knn_closed_forms_and_caveat():
     rep = knn_closed_forms(PlatoonSpec(12, 7))
     assert rep.robustness == 6  # capped at ceil(n/2)
     assert rep.iso == Fraction(13, 3)  # front-half cut: 26 edges over 6 vehicles
-    assert rep.robustness_note == "closed-form, not verified exhaustively"
+    assert rep.robustness_note == (
+        "closed-form upper bound, not verified exhaustively: k > floor(n/2)")
     assert rep.iso_note == rep.robustness_note
+    # only the closed forms: no graph, no eigensolve
+    assert rep.lambda2 is None and rep.lambda2_bounds == lambda2_bounds(PlatoonSpec(12, 7))
 
 
 # P(n, k) with k <= floor(n/2) past the exhaustive table that are less than
@@ -386,7 +409,7 @@ def test_knn_exact_robustness_past_the_table():
 
 
 def test_knn_closed_form_robustness_is_flagged_past_the_table():
-    unverified = "closed-form, not verified exhaustively"
+    unverified = "closed-form upper bound, not verified exhaustively: n > 12"
     for (n, k), (s1, s2) in ROBUSTNESS_BELOW_K.items():
         g = build_knn_platoon(PlatoonSpec(n, k))
         assert not set(s1) & set(s2)

@@ -111,6 +111,15 @@ def test_neighbors_sorted_and_bounds():
         neighbors(g, -1)
 
 
+@pytest.mark.parametrize("bad", [-1, 5, 9])
+def test_has_edge_checks_its_vertex_ids(bad):
+    # -1 must not wrap to the last vehicle, and an id past n is no vertex
+    g = build_knn_platoon(PlatoonSpec(5, 2))
+    for a, b in ((bad, 2), (0, bad)):
+        with pytest.raises(ValueError, match=f"vertex {bad} out of range for n=5"):
+            g.has_edge(a, b)
+
+
 def test_edges_are_canonicalized():
     g = Graph.from_edges(5, [(3, 1), (0, 2), (2, 1)])
     assert g.edges == ((0, 2), (1, 2), (1, 3))

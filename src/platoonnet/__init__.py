@@ -58,6 +58,7 @@ _EXPORTS = {
         "hinf_closed_form",
         "hinf_grid",
         "hinf_sweep",
+        "modal_peak_frequency",
         "simulate_formation",
     ),
     "graph": (

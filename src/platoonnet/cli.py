@@ -28,32 +28,18 @@ from pathlib import Path
 
 import numpy as np
 
-from . import __version__
+from . import _EXPORTS, _MODULE_OF, __version__
 from .graph import Graph, PlatoonSpec, build_knn_platoon, load_graph, read_json
-
-# The names each subcommand uses from its domain module.  A module is
-# imported when its subcommand first runs (or when an outside lookup such as
-# `cli.run_wmsr` asks for one of its names), so a job loads only its own
-# code.  The names are bound as globals of this module, where the
-# subcommands look them up and where a caller may replace them.
-_IMPORTS = {
-    "connectivity": ("EXHAUSTIVE_CEILING", "ExhaustiveLimitError", "connectivity_report",
-                     "knn_closed_forms"),
-    "consensus": ("Adversary", "Constant", "Ramp", "SeededRandom", "Sinusoid", "is_f_local",
-                  "run_wmsr"),
-    "estimation": ("FaultScenario", "ModelMismatchError", "observe", "random_weights",
-                   "recover_initial_state", "simulate_faulty"),
-    "formation": ("Disturbance", "build_formation", "hinf_closed_form", "hinf_grid",
-                  "modal_peak_frequency", "simulate_formation"),
-}
-_MODULE_OF = {name: module for module, names in _IMPORTS.items() for name in names}
 
 
 def _bind(module: str) -> None:
-    """Import platoonnet.<module> and bind the names _IMPORTS lists for it,
-    keeping any name already bound here (a replaced name stays replaced)."""
+    """Import platoonnet.<module> and bind the names the package exports from
+    it as globals here, where the subcommands look them up, keeping any name
+    already bound (a replaced name stays replaced).  A subcommand binds its
+    domain module when it first runs, as does an outside lookup of one of its
+    names such as `cli.run_wmsr`, so a job loads only its own code."""
     mod = import_module(f"{__package__}.{module}")
-    for name in _IMPORTS[module]:
+    for name in _EXPORTS[module]:
         globals().setdefault(name, getattr(mod, name))
 
 
@@ -110,12 +96,18 @@ _GRAPH_SPEC_SCHEMA = {
     ]
 }
 
-# Each adversary strategy's params, in the order its constructor takes them.
+# Each adversary strategy's params, named as its constructor's arguments.
 STRATEGY_PARAMS = {
     "constant": ("value",),
     "ramp": ("start", "slope"),
     "sinusoid": ("amplitude", "omega", "phase"),
     "seeded-random": ("low", "high"),
+}
+# The schema of each strategy's params: numbers, each required but a phase.
+STRATEGY_SCHEMAS = {
+    kind: {"type": "object", "properties": {name: {"type": "number"} for name in names},
+           "required": [name for name in names if name != "phase"], "additionalProperties": False}
+    for kind, names in STRATEGY_PARAMS.items()
 }
 
 ESTIMATE_SCHEMA = {
@@ -516,6 +508,8 @@ def _parse_range(text: str) -> list[int]:
 
 
 def cmd_analyze(args) -> int:
+    from .connectivity import EXHAUSTIVE_CEILING
+
     _bind("connectivity")
     if (args.platoon is None) == (args.graph is None):
         raise ValidationFailure("analyze needs exactly one of --platoon or --graph")
@@ -541,9 +535,8 @@ def cmd_analyze(args) -> int:
         if platoon is not None:
             closed = knn_closed_forms(platoon)
             print(f"closed-form values for P({platoon.n},{platoon.k}): "
-                  f"robustness={closed.robustness}, iso={closed.iso.numerator}/"
-                  f"{closed.iso.denominator} (closed-form, not verified exhaustively)",
-                  file=sys.stderr)
+                  f"robustness={closed.robustness}, "
+                  f"iso={closed.iso.numerator}/{closed.iso.denominator}", file=sys.stderr)
             for measure, note in (("robustness", closed.robustness_note),
                                   ("isoperimetric constant", closed.iso_note)):
                 if note is not None:
@@ -628,30 +621,19 @@ def cmd_estimate(args) -> int:
 # ---------------------------------------------------------------- consensus
 
 
-def _build_strategy(kind: str, params: dict, vehicle: int, scenario_seed: int):
-    """The strategy object of one adversary, from STRATEGY_PARAMS: the
+def _build_strategy(kind: str, params: dict, vehicle: int, scenario_seed: int, path: tuple):
+    """The strategy object of one adversary, whose params sit at `path`: the
     consensus class named after the strategy (seeded-random: SeededRandom)
-    called with the params in table order."""
-    names = STRATEGY_PARAMS[kind]
-    if "phase" in names:  # a sinusoid starts at phase 0 unless told otherwise
-        params = {"phase": 0.0, **params}
-    missing = [p for p in names if p not in params]
-    unknown = [p for p in params if p not in names]
-    if missing or unknown:
-        raise ValidationFailure(
-            f"strategy {kind!r} for vehicle {vehicle}: "
-            + (f"missing params {missing} " if missing else "")
-            + (f"unknown params {unknown}" if unknown else "")
-        )
-    for name in names:
-        if not _is_number(params[name]):
-            raise ValidationFailure(f"strategy {kind!r} for vehicle {vehicle}: param "
-                                    f"{name!r} must be a number, got {json.dumps(params[name])}")
+    called with the params, checked against STRATEGY_SCHEMAS, as keyword
+    arguments."""
+    error = _first_error(params, STRATEGY_SCHEMAS[kind], path)
+    if error is not None:
+        raise _invalid("scenario", *error)
     strategy = globals()[kind.title().replace("-", "")]
-    args = [params[name] for name in names]
     if strategy is SeededRandom:  # per-adversary stream derived from the scenario seed
-        args.append(int(np.random.SeedSequence((scenario_seed, 2, vehicle)).generate_state(1)[0]))
-    return strategy(*args)
+        seed = np.random.SeedSequence((scenario_seed, 2, vehicle)).generate_state(1)[0]
+        params = {**params, "seed": int(seed)}
+    return strategy(**params)
 
 
 def load_consensus_scenario(path: str, seed_override: int | None = None):
@@ -662,7 +644,8 @@ def load_consensus_scenario(path: str, seed_override: int | None = None):
     adversaries = []
     for i, entry in enumerate(data["adversaries"]):
         vehicle = _vehicle(entry["vehicle"], g.n, "scenario", ("adversaries", i, "vehicle"))
-        strategy = _build_strategy(entry["strategy"], entry.get("params", {}), vehicle, seed)
+        strategy = _build_strategy(entry["strategy"], entry.get("params", {}), vehicle, seed,
+                                   ("adversaries", i, "params"))
         adversaries.append(Adversary(vehicle, strategy))
     return g, seed, adversaries, int(data["f"]), int(data.get("T", 500)), float(data.get("tol", 1e-9))
 

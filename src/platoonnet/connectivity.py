@@ -159,8 +159,13 @@ def _reach_table(g: Graph) -> np.ndarray:
     return reach
 
 
+def _ceiled(limit: int) -> int:
+    """The limit an exhaustive measure applies: none passes the ceiling."""
+    return min(limit, EXHAUSTIVE_CEILING)
+
+
 def _refuse_above(limit: int, n: int, measure: str) -> None:
-    limit = min(limit, EXHAUSTIVE_CEILING)
+    limit = _ceiled(limit)
     if n > limit:
         raise ExhaustiveLimitError(
             f"exhaustive search refused: {measure} on n={n} exceeds limit {limit}"
@@ -316,11 +321,12 @@ def connectivity_report(
 ) -> ConnectivityReport:
     """Measure every connectivity quantity of g that fits within the limit.
 
-    `limit` caps both exhaustive measures; None keeps each at its default.
+    `limit` caps both exhaustive measures, up to EXHAUSTIVE_CEILING; None
+    keeps each at its default.
     A measure over it is skipped with a note, unless explicitly required, in
     which case ExhaustiveLimitError propagates before any max-flow runs.
     """
-    rb_limit, iso_limit = (ROBUSTNESS_LIMIT, ISO_LIMIT) if limit is None else (limit, limit)
+    rb_limit, iso_limit = (ROBUSTNESS_LIMIT, ISO_LIMIT) if limit is None else (_ceiled(limit),) * 2
     rb = rb_note = iso = iso_note = None
     if g.n <= rb_limit or require_robustness:
         rb = robustness(g, limit=rb_limit)

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graph import Graph, laplacian, neighbors
+from .graph import Graph, _vertex, laplacian, neighbors
 
 
 class ModelMismatchError(RuntimeError):
@@ -80,11 +80,14 @@ class FaultScenario:
 
 
 def simulate_faulty(W: WeightMatrix, x0, scenario: FaultScenario) -> np.ndarray:
-    """State trace x[0..horizon] under x[k+1] = W x[k] + A phi[k]."""
+    """State trace x[0..horizon] under x[k+1] = W x[k] + A phi[k].  Every
+    faulty id must be a vehicle of W's graph."""
     n = W.graph.n
     x0 = np.asarray(x0, dtype=np.float64)
     if x0.shape != (n,):
         raise ValueError(f"x0 must have shape ({n},)")
+    for v in scenario.faulty:
+        _vertex(W.graph, v)
     states = np.zeros((scenario.horizon + 1, n))
     states[0] = x0
     for k in range(scenario.horizon):

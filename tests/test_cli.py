@@ -86,8 +86,7 @@ def test_analyze_refuses_large_exhaustive_with_fallback(tmp_path, capsys):
     assert code == 3
     err = capsys.readouterr().err
     assert "exceeds limit 19" in err
-    assert "robustness=4" in err and "iso=2/3" in err
-    assert "closed-form, not verified exhaustively" in err
+    assert err.splitlines()[1] == "closed-form values for P(30,4): robustness=4, iso=2/3"
     assert not (tmp_path / "manifest.json").exists()  # refusal writes nothing
 
 
@@ -165,7 +164,8 @@ def test_analyze_refusal_warns_with_the_closed_form_notes(tmp_path, capsys):
                 ("robustness", closed.robustness_note),
                 ("isoperimetric constant", closed.iso_note)) if note is not None]
             assert err[0] == f"error: exhaustive search refused: robustness on n={n} exceeds limit 0"
-            assert err[1].startswith(f"closed-form values for P({n},{k}): ")
+            assert err[1] == (f"closed-form values for P({n},{k}): robustness={closed.robustness}, "
+                              f"iso={closed.iso.numerator}/{closed.iso.denominator}")
             assert err[2:] == want, (n, k)
     assert not (tmp_path / "manifest.json").exists()
 
@@ -179,8 +179,7 @@ def test_analyze_refusal_runs_no_eigensolver(tmp_path, capsys, monkeypatch):
     assert code == 3
     assert capsys.readouterr().err.splitlines() == [
         "error: exhaustive search refused: robustness on n=3000 exceeds limit 19",
-        "closed-form values for P(3000,3): robustness=3, iso=1/250 "
-        "(closed-form, not verified exhaustively)",
+        "closed-form values for P(3000,3): robustness=3, iso=1/250",
         "warning: robustness: closed-form upper bound, not verified exhaustively: n > 12",
     ]
 
@@ -442,28 +441,28 @@ def test_consensus_json_format(tmp_path):
 
 
 def test_consensus_strategy_param_validation(tmp_path, capsys):
+    # an adversary's params are checked against the schema its strategy's
+    # STRATEGY_PARAMS entry gives, and reported in the pointer form
     bad = tmp_path / "bad.json"
-    bad.write_text(json.dumps({
-        "graph": {"platoon": [8, 2]}, "seed": 1, "f": 1,
-        "adversaries": [{"vehicle": 2, "strategy": "ramp", "params": {"slope": 1.0}}],
-    }))
-    assert main(["consensus", "--scenario", str(bad)]) == 2
-    assert "missing params ['start']" in capsys.readouterr().err
-    bad.write_text(json.dumps({
-        "graph": {"platoon": [8, 2]}, "seed": 1, "f": 1,
-        "adversaries": [{"vehicle": 2, "strategy": "warp", "params": {}}],
-    }))
-    assert main(["consensus", "--scenario", str(bad)]) == 2
-    assert "/adversaries/0" in capsys.readouterr().err
-    # params is a free-form object in the schema, so the loader checks that
-    # each value is a number: not a list, not a string float() would accept
-    for value in ([1, 2], "NaN", True):
+
+    def run(strategy, params):
         bad.write_text(json.dumps({
             "graph": {"platoon": [8, 2]}, "seed": 1, "f": 1,
-            "adversaries": [{"vehicle": 2, "strategy": "constant", "params": {"value": value}}],
+            "adversaries": [{"vehicle": 2, "strategy": strategy, "params": params}],
         }))
         assert main(["consensus", "--scenario", str(bad), "--out", str(tmp_path)]) == 2
-        assert "param 'value' must be a number" in capsys.readouterr().err
+        return capsys.readouterr().err
+
+    assert run("ramp", {"slope": 1.0}) == (
+        'error: scenario: invalid at /adversaries/0/params: missing required key "start"\n')
+    assert run("ramp", {"start": 0.0, "slope": 1.0, "speed": 2.0}) == (
+        'error: scenario: invalid at /adversaries/0/params: unknown key "speed"\n')
+    assert "/adversaries/0" in run("warp", {})
+    # not a list, not a string float() would accept, not a boolean
+    for value, text in (([1, 2], "[1, 2]"), ("NaN", '"NaN"'), (True, "true")):
+        assert run("constant", {"value": value}) == (
+            f"error: scenario: invalid at /adversaries/0/params/value: expected number, got {text}\n")
+    assert not (tmp_path / "manifest.json").exists()
 
 
 def test_consensus_rejects_non_finite_numbers(tmp_path, capsys):
@@ -865,19 +864,24 @@ def test_library_holds_no_test_only_names():
     assert unused == []
 
 
-def test_every_lazily_imported_name_is_used():
-    # A name that cli._IMPORTS lists but no line of cli.py uses would be
-    # imported and bound for nothing.  The table holds strings, so only the
-    # uses outside it are Name nodes; the adversary strategies are looked up
-    # by the class name _build_strategy derives from STRATEGY_PARAMS.
+def test_cli_defines_no_name_it_binds_lazily():
+    # cli._bind keeps a name already bound in cli (so that a replaced name
+    # stays replaced), so a top-level definition or import in cli.py that
+    # shares a name with a domain module's export would silently win over it.
     tree = ast.parse(Path(cli.__file__).read_text(encoding="utf-8"))
-    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
-    cli._bind("consensus")
-    used |= {type(cli._build_strategy(kind, {p: float(i) for i, p in enumerate(params)}, 0, 0)).__name__
-             for kind, params in cli.STRATEGY_PARAMS.items()}
-    listed = [name for names in cli._IMPORTS.values() for name in names]
-    assert [name for name in listed if name not in used] == []
-    assert len(cli._IMPORTS["connectivity"]) == 4
+    top = set()
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            top.add(node.name)
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            top |= {alias.asname or alias.name.split(".")[0] for alias in node.names}
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            top |= {t.id for target in targets for t in ast.walk(target) if isinstance(t, ast.Name)}
+    exported = {name for module in ("connectivity", "consensus", "estimation", "formation")
+                for name in platoonnet._EXPORTS[module]}
+    assert "STRATEGY_PARAMS" in top and "run_wmsr" in exported
+    assert sorted(top & exported) == []
 
 
 def test_manifest_version_is_the_project_version(tmp_path):

@@ -230,6 +230,19 @@ def test_no_limit_reaches_past_the_ceiling(monkeypatch):
         isoperimetric_constant(g, limit=40)
 
 
+def test_report_skips_past_the_ceiling_whatever_the_limit():
+    # a limit above the ceiling skips what the ceiling refuses, and refuses
+    # only what is required
+    g = build_knn_platoon(PlatoonSpec(EXHAUSTIVE_CEILING + 1, 1))
+    rep = connectivity_report(g, limit=40)
+    assert (rep.robustness, rep.robustness_note) == (None, "skipped: n too large")
+    assert (rep.iso, rep.iso_note) == (None, "skipped: n too large")
+    assert rep.vertex_conn == 1
+    with pytest.raises(ExhaustiveLimitError) as exc:
+        connectivity_report(g, limit=40, require_robustness=True)
+    assert str(exc.value) == "exhaustive search refused: robustness on n=23 exceeds limit 22"
+
+
 # ----------------------------------------------------------- isoperimetric
 
 

@@ -98,6 +98,15 @@ def test_fault_scenario_validation():
         FaultScenario(faulty=(), phi={}, horizon=0)
 
 
+def test_simulation_rejects_a_faulty_id_outside_the_graph():
+    # -1 would wrap to the last vehicle, and n is past the end
+    _, W, x0 = make_setup(5, 2, 9)
+    for v in (-1, 5):
+        scenario = FaultScenario(faulty=(v,), phi={(v, 0): 1.0}, horizon=2)
+        with pytest.raises(ValueError, match=rf"^vertex {v} out of range for n=5$"):
+            simulate_faulty(W, x0, scenario)
+
+
 # ------------------------------------------------------------ observation
 
 

@@ -4,7 +4,8 @@ The CLI validates scenario and config files with its own small checker for
 the JSON Schema keywords its schemas use.  Seeded mutations of the shipped
 fixtures and of benchmark-shaped scenarios must get the same verdict from it
 as from `jsonschema.Draft202012Validator`, and the same first-error JSON
-pointer: the smallest error path in sorted order.
+pointer: the smallest error path in sorted order.  So must the params of
+every adversary strategy, checked against the schema generated for it.
 """
 
 import copy
@@ -172,6 +173,37 @@ def test_checker_matches_jsonschema_on_mutated_scenarios():
     assert len(pointers) > 60, sorted(p for p in pointers if p)
 
 
+def test_strategy_params_checker_matches_jsonschema():
+    # the params schemas are generated from STRATEGY_PARAMS and applied by
+    # _build_strategy at the adversary's params pointer
+    jsonschema = pytest.importorskip("jsonschema")
+    cli._bind("consensus")
+    rng = random.Random(20240602)
+    path = ("adversaries", 3, "params")
+    verdicts = {True: 0, False: 0}
+    pointers = set()
+    for case in range(2000):
+        kind = rng.choice(list(cli.STRATEGY_PARAMS))
+        schema = cli.STRATEGY_SCHEMAS[kind]
+        doc = {name: rng.choice([round(rng.uniform(-5, 5), 3), rng.randint(-3, 3)])
+               for name in cli.STRATEGY_PARAMS[kind] if name != "phase" or rng.random() < 0.5}
+        for _ in range(rng.choice([0, 1, 1, 2, 3])):
+            doc = mutate(doc, rng)
+        want = oracle_pointer(jsonschema.Draft202012Validator(schema), doc)
+        got = None
+        try:
+            cli._build_strategy(kind, doc, 3, case, path)
+        except cli.ValidationFailure as exc:
+            prefix = "scenario: invalid at /adversaries/3/params"
+            assert str(exc).startswith(prefix), str(exc)
+            got = "/" + str(exc)[len(prefix):].split(": ", 1)[0].lstrip("/")
+        assert got == want, (kind, doc)
+        verdicts[want is None] += 1
+        pointers.add(want)
+    assert verdicts[True] > 500 and verdicts[False] > 1000, verdicts
+    assert len(pointers) > 8, sorted(p for p in pointers if p)
+
+
 def test_checker_edge_cases_match_jsonschema():
     jsonschema = pytest.importorskip("jsonschema")
     formation = jsonschema.Draft202012Validator(cli.FORMATION_SCHEMA)
@@ -229,3 +261,5 @@ def test_schemas_use_only_supported_keywords():
 
     for name, schema in SCHEMAS.items():
         walk(schema, name)
+    for kind, schema in cli.STRATEGY_SCHEMAS.items():
+        walk(schema, f"params of {kind}")

@@ -24,7 +24,9 @@ import json
 import math
 import sys
 from importlib import import_module
+from itertools import chain, repeat
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -394,41 +396,69 @@ def _table(fmt: str, header: list[str], columns, suffix: str = "") -> dict:
 # only one chunk is ever held as Python objects and text.
 _CHUNK_ROWS = 4096
 
+# csv.writer's writerow returns what its file's write returns: here, the text
+# of the row, quotes and line terminator included.
+_CSV_ROW = csv.writer(SimpleNamespace(write=str), lineterminator="\n").writerow
 
-def _cells(part) -> list:
-    if not isinstance(part, np.ndarray):
-        return list(part)
-    return (part.astype(np.int64) if part.dtype.kind == "b" else part).tolist()
+
+def _csv_cell(value) -> str:
+    """How csv.writer spells one cell, quotes included; the second, empty
+    field keeps a lone empty string unquoted, as it is inside a row."""
+    return _CSV_ROW([value, ""])[:-2]
+
+
+def _number_texts(part: np.ndarray, json_style: bool) -> list[str]:
+    values = part.tolist()
+    if part.dtype.kind == "b":
+        return list(map((("false", "true") if json_style else ("0", "1")).__getitem__, values))
+    texts = list(map(repr, values))
+    if json_style and part.dtype.kind == "f":
+        for i in np.flatnonzero(~np.isfinite(part)).tolist():
+            texts[i] = json.dumps(values[i])  # NaN, Infinity, -Infinity
+    return texts
+
+
+def _texts(part, json_style: bool):
+    """The text of each cell of a 1-D chunk (numpy array or sequence): as
+    json.dump spells it, or as csv.writer does, quotes included, except that
+    boolean arrays are spelled 0 and 1 in CSV.
+
+    A numeric chunk whose runs of bitwise-equal neighbours cover at least
+    half of it formats only the head of each run; bitwise, so that 0.0 and
+    -0.0 stay apart.  A string array spells each distinct string once."""
+    if isinstance(part, np.ndarray) and part.dtype.kind in "biuf":
+        bits = part.view(f"u{part.itemsize}")
+        changes = np.flatnonzero(bits[1:] != bits[:-1]) + 1
+        if 2 * len(changes) >= len(part):
+            return _number_texts(part, json_style)
+        bounds = np.concatenate(([0], changes, [len(part)]))
+        heads = _number_texts(part[bounds[:-1]], json_style)
+        return chain.from_iterable(map(repeat, heads, np.diff(bounds).tolist()))
+    spell = json.dumps if json_style else _csv_cell
+    values = part.tolist() if isinstance(part, np.ndarray) else part
+    if isinstance(part, np.ndarray) and part.dtype.kind == "U":
+        spelled = {value: spell(value) for value in set(values)}
+        return list(map(spelled.__getitem__, values))
+    return list(map(spell, values))
 
 
 def _write_csv(path: Path, header: list[str], columns) -> None:
-    """CSV of equal-length columns (numpy arrays or sequences); the same
-    bytes as csv.writer fed one row at a time, except that boolean arrays
-    are spelled 0 and 1."""
+    """CSV of two or more equal-length columns (numpy arrays or sequences);
+    the same bytes as csv.writer fed one row at a time, except that boolean
+    arrays are spelled 0 and 1."""
     rows = len(columns[0])
+    line = ",".join(["%s"] * len(columns)) + "\n"
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(header)
+        fh.write(_CSV_ROW(header))
         for start in range(0, rows, _CHUNK_ROWS):
-            writer.writerows(zip(*(_cells(c[start : start + _CHUNK_ROWS]) for c in columns)))
-
-
-def _json_texts(part: np.ndarray) -> list[str]:
-    """How json.dump spells each entry of a 1-D array."""
-    if part.dtype.kind == "b":
-        return np.where(part, "true", "false").tolist()
-    if part.dtype.kind not in "iuf":
-        return [json.dumps(v) for v in part.tolist()]
-    texts = list(map(repr, part.tolist()))
-    for i in np.flatnonzero(~np.isfinite(part)):
-        texts[i] = json.dumps(part[i].item())  # NaN, Infinity, -Infinity
-    return texts
+            texts = [_texts(c[start : start + _CHUNK_ROWS], False) for c in columns]
+            fh.writelines(map(line.__mod__, zip(*texts)))
 
 
 def _json_items(part: np.ndarray, indent: str) -> list[str]:
     """json.dump(indent=2) texts of the entries of a 1-D or 2-D array whose
     list sits at `indent`."""
-    texts = _json_texts(part.ravel())
+    texts = list(_texts(part.ravel(), True))
     if part.ndim == 1:
         return texts
     width = part.shape[1]
@@ -471,7 +501,7 @@ def _write_json_records(path: Path, columns: dict[str, np.ndarray]) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("[\n" if rows else "[]")
         for start in range(0, rows, _CHUNK_ROWS):
-            texts = [_json_texts(columns[name][start : start + _CHUNK_ROWS]) for name in names]
+            texts = [_texts(columns[name][start : start + _CHUNK_ROWS], True) for name in names]
             if start:
                 fh.write(",\n")
             fh.write(",\n".join(map(record.__mod__, zip(*texts))))
@@ -625,7 +655,7 @@ def _build_strategy(kind: str, params: dict, vehicle: int, scenario_seed: int, p
     """The strategy object of one adversary, whose params sit at `path`: the
     consensus class named after the strategy (seeded-random: SeededRandom)
     called with the params, checked against STRATEGY_SCHEMAS, as keyword
-    arguments."""
+    arguments.  A ValueError of the class is reported at `path`."""
     error = _first_error(params, STRATEGY_SCHEMAS[kind], path)
     if error is not None:
         raise _invalid("scenario", *error)
@@ -633,7 +663,10 @@ def _build_strategy(kind: str, params: dict, vehicle: int, scenario_seed: int, p
     if strategy is SeededRandom:  # per-adversary stream derived from the scenario seed
         seed = np.random.SeedSequence((scenario_seed, 2, vehicle)).generate_state(1)[0]
         params = {**params, "seed": int(seed)}
-    return strategy(**params)
+    try:
+        return strategy(**params)
+    except ValueError as exc:
+        raise _invalid("scenario", path, str(exc))
 
 
 def load_consensus_scenario(path: str, seed_override: int | None = None):

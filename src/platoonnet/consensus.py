@@ -53,6 +53,8 @@ class SeededRandom:
     (seed, step), so traces are reproducible and randomly accessible."""
 
     def __init__(self, low: float, high: float, seed: int):
+        if low > high:
+            raise ValueError(f"low {low} is above high {high}")
         self.low = float(low)
         self.high = float(high)
         self.seed = int(seed)

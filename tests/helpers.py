@@ -3,6 +3,8 @@ implementations (oracles) that only the tests run."""
 
 from __future__ import annotations
 
+import csv
+import io
 import itertools
 import math
 from fractions import Fraction
@@ -422,3 +424,20 @@ def joint_lstsq_recover(trace: MeasurementTrace, W: WeightMatrix, f: int) -> Rec
     agree = all(np.max(np.abs(c.x0 - base.x0)) < tol for c in consistent)
     return RecoveryResult(unique=agree, x0=base.x0 if agree else None,
                           candidates=tuple(consistent), tol=tol)
+
+
+def csv_writer_rows(header, columns) -> str:
+    """Reference for cli._write_csv: the text csv.writer writes for a header
+    and then each row of equal-length columns (numpy arrays or sequences),
+    fed one row at a time, with boolean arrays spelled 0 and 1."""
+    def cells(column) -> list:
+        if not isinstance(column, np.ndarray):
+            return list(column)
+        return (column.astype(np.int64) if column.dtype.kind == "b" else column).tolist()
+
+    out = io.StringIO(newline="")
+    writer = csv.writer(out, lineterminator="\n")
+    writer.writerow(header)
+    for row in zip(*map(cells, columns)):
+        writer.writerow(row)
+    return out.getvalue()

@@ -19,6 +19,8 @@ from platoonnet.cli import main
 from platoonnet.connectivity import ROBUSTNESS_LIMIT, connectivity_report, knn_closed_forms
 from platoonnet.graph import PlatoonSpec, build_knn_platoon, save_graph
 
+from helpers import csv_writer_rows
+
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 
 
@@ -375,6 +377,20 @@ def test_vehicle_out_of_range_names_its_pointer(tmp_path, capsys, command, doc, 
     assert not (tmp_path / "out").exists()
 
 
+def test_seeded_random_low_above_high_names_its_pointer(tmp_path, capsys):
+    # refused while the scenario is read: before run_wmsr, its locality
+    # warning and any file
+    doc = {"graph": {"platoon": [8, 2]}, "seed": 3, "f": 1, "T": 20, "adversaries": [
+        {"vehicle": 1, "strategy": "constant", "params": {"value": 1.0}},
+        {"vehicle": 2, "strategy": "seeded-random", "params": {"low": 12.0, "high": -3.0}}]}
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps(doc))
+    assert main(["consensus", "--scenario", str(path), "--out", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err == (
+        "error: scenario: invalid at /adversaries/1/params: low 12.0 is above high -3.0\n")
+    assert not (tmp_path / "out").exists()
+
+
 def test_scenario_graph_variants(tmp_path):
     # inline edge list
     inline = tmp_path / "inline.json"
@@ -705,6 +721,56 @@ def test_csv_and_json_tables_carry_the_same_rows(tmp_path, run):
     assert by_format["csv"]["results"] == by_format["json"]["results"]
 
 
+def library_trace_files(fixture: str, fmt: str) -> list[str]:
+    """The text of each trace file of a fixture run, rebuilt row by row from
+    the library's own trace arrays with csv.writer (csv_writer_rows) or
+    json.dump, in the order of the manifest's outputs."""
+    path = str(SCENARIOS / f"{fixture}.json")
+    if fixture.startswith("consensus"):
+        g, seed, adversaries, f, T, tol = cli.load_consensus_scenario(path)
+        trace = cli.run_wmsr(g, cli.scenario_x0(seed, g.n, 0.0, 10.0), adversaries, f=f, T=T,
+                             tol=tol)
+        rows = [(step, v, x, v in trace.adversaries)
+                for step, values in enumerate(trace.values.tolist()) for v, x in enumerate(values)]
+        header = ["step", "vehicle", "value", "is_adversary"]
+        if fmt == "json":
+            return [json.dumps([dict(zip(header, row)) for row in rows], indent=2,
+                               sort_keys=True) + "\n"]
+        return [csv_writer_rows(header, list(zip(*[(*row[:3], int(row[3])) for row in rows])))]
+    system, T, h, record_every, dist_cfg = cli.load_formation_config(path)
+    disturbance, _ = cli._build_disturbance(system, dist_cfg)
+    trace = cli.simulate_formation(system, disturbance=disturbance, T=T, h=h,
+                                   record_every=record_every)
+    t, edges = trace.t.tolist(), [f"{i}-{j}" for i, j in system.graph.edges]
+    positions, velocities = trace.positions.tolist(), trace.velocities.tolist()
+    spans = trace.span_errors.tolist()
+    if fmt == "json":
+        fields = {"t": t, "positions": positions, "velocities": velocities, "edges": edges,
+                  "spacing_errors": spans}
+        return [json.dumps(fields, indent=2, sort_keys=True) + "\n"]
+    vehicles = [(ti, v, p, u) for ti, ps, us in zip(t, positions, velocities)
+                for v, (p, u) in enumerate(zip(ps, us))]
+    edge_rows = [(ti, e, x) for ti, row in zip(t, spans) for e, x in zip(edges, row)]
+    return [csv_writer_rows(["t", "vehicle", "p", "u"], list(zip(*vehicles))),
+            csv_writer_rows(["t", "edge", "spacing_error"], list(zip(*edge_rows)))]
+
+
+@pytest.mark.filterwarnings("ignore:adversary set:UserWarning")
+@pytest.mark.parametrize("chunk_rows", [7, cli._CHUNK_ROWS])
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize("fixture", ["formation-worst-case", "consensus-ramp-tolerated",
+                                     "consensus-overwhelmed"])
+def test_trace_files_equal_the_library_arrays_written_by_csv_and_json(
+        tmp_path, monkeypatch, fixture, fmt, chunk_rows):
+    # pins the repeated t and step columns end to end, across chunk bounds
+    monkeypatch.setattr(cli, "_CHUNK_ROWS", chunk_rows)
+    flag = "--config" if fixture.startswith("formation") else "--scenario"
+    manifest = run_as([fixture.split("-")[0], flag, str(SCENARIOS / f"{fixture}.json")], fmt,
+                      tmp_path)
+    got = [(tmp_path / name).read_bytes() for name in manifest["outputs"]]
+    assert got == [text.encode("utf-8") for text in library_trace_files(fixture, fmt)]
+
+
 # ------------------------------------------------------------------ parser
 
 
@@ -732,6 +798,32 @@ def test_exhaustive_limit_help_names_the_default_limits(capsys):
 # ----------------------------------------------------------------- writers
 
 TRICKY_FLOATS = [-0.0, 5e-324, 1e16, 0.1 + 0.2, float("nan"), float("inf"), float("-inf"), 2.5]
+# runs of bitwise-equal neighbours, and neighbours equal as numbers but not as bits
+RUN_FLOATS = [0.0, -0.0, -0.0, 0.0, math.nan, math.nan, math.inf, math.inf, 1.0, 1.0, 1.0]
+# how csv.writer and json.dump spell Python values, quotes and escapes included
+MIXED_CELLS = [None, True, 3, 2.5, "a,b", 'say "hi"', "two\nlines", "cr\r", " lead", "", -0.0]
+
+
+def as_list(column) -> list:
+    return column.tolist() if isinstance(column, np.ndarray) else list(column)
+
+
+def assert_writers_match_oracles(tmp_path, columns: dict, arrays: dict) -> None:
+    """cli's CSV, JSON-records and JSON-arrays writers against csv_writer_rows
+    and json.dump, byte for byte."""
+    header = list(columns)
+    cli._write_csv(tmp_path / "got.csv", header, list(columns.values()))
+    assert (tmp_path / "got.csv").read_bytes().decode("utf-8") == csv_writer_rows(
+        header, list(columns.values()))
+
+    cli._write_json_records(tmp_path / "records.json", columns)
+    records = [dict(zip(columns, row)) for row in zip(*map(as_list, columns.values()))]
+    want = json.dumps(records, indent=2, sort_keys=True) + "\n"
+    assert (tmp_path / "records.json").read_text(encoding="utf-8") == want
+
+    cli._write_json_arrays(tmp_path / "arrays.json", arrays)
+    want = json.dumps({k: v.tolist() for k, v in arrays.items()}, indent=2, sort_keys=True) + "\n"
+    assert (tmp_path / "arrays.json").read_text(encoding="utf-8") == want
 
 
 @pytest.mark.parametrize("chunk_rows", [3, 4096])
@@ -741,26 +833,56 @@ def test_column_writers_match_csv_and_json_dump(tmp_path, monkeypatch, chunk_row
     ints = np.arange(len(floats)) * 7 - 20
     flags = ints % 3 == 0
     names = np.array(["0-1", "a,b", 'say "hi"', "\u00e9", "", "x", "y y", "z"])
-
-    cli._write_csv(tmp_path / "got.csv", ["f", "i", "b", "s"], [floats, ints, flags, names])
-    want = io.StringIO(newline="")
-    writer = csv.writer(want, lineterminator="\n")
-    writer.writerow(["f", "i", "b", "s"])
-    for row in zip(floats.tolist(), ints.tolist(), [int(b) for b in flags], names.tolist()):
-        writer.writerow(row)
-    assert (tmp_path / "got.csv").read_text(encoding="utf-8") == want.getvalue()
-
-    columns = {"value": floats, "step": ints, "flag": flags, "edge": names}
-    cli._write_json_records(tmp_path / "records.json", columns)
-    records = [dict(zip(columns, row)) for row in zip(*(c.tolist() for c in columns.values()))]
-    assert (tmp_path / "records.json").read_text() == json.dumps(records, indent=2, sort_keys=True) + "\n"
-
-    fields = {"t": floats, "edges": names, "grid": np.stack([floats, floats[::-1]], axis=1),
+    columns = {"f": floats, "i": ints, "b": flags, "s": names}
+    arrays = {"t": floats, "edges": names, "grid": np.stack([floats, floats[::-1]], axis=1),
               "none": np.zeros((0,)), "hollow": np.zeros((4, 0))}
-    cli._write_json_arrays(tmp_path / "arrays.json", fields)
-    want_text = json.dumps({k: v.tolist() for k, v in fields.items()}, indent=2, sort_keys=True)
-    assert (tmp_path / "arrays.json").read_text() == want_text + "\n"
-    assert "NaN" in want_text and "Infinity" in want_text and "nan" not in want_text
+    assert_writers_match_oracles(tmp_path, columns, arrays)
+    text = (tmp_path / "arrays.json").read_text()
+    assert "NaN" in text and "Infinity" in text and "nan" not in text
+
+    runs = np.array(RUN_FLOATS)
+    repeated = np.repeat(np.arange(4) - 1, [3, 3, 2, 3])
+    tiled = np.tile(np.array(["0-1", "a,b", ""]), 4)[: len(runs)]
+    columns = {"run": runs, "rep": repeated, "tile": tiled, "mixed": MIXED_CELLS}
+    arrays = {"run": runs, "rep": repeated, "tile": tiled,
+              "grid": np.stack([runs, runs[::-1]], axis=1)}
+    assert_writers_match_oracles(tmp_path, columns, arrays)
+
+
+NAN_PAYLOAD = np.array([0x7FF8000000000001, 0xFFF8000000000000], dtype=np.uint64).view(np.float64)
+CELL_POOLS = [
+    np.array([0.0, -0.0, 5e-324, -1e-310, *NAN_PAYLOAD, math.nan, math.inf, -math.inf,
+              0.1 + 0.2, 1e16, -1.5]),
+    np.array([0, -1, 7, 2**40, -(2**62)]),
+    np.array([0, 3, -5, 127], dtype=np.int8),
+    np.array([True, False]),
+    np.array(["", "x", "a,b", 'q"q', "l\nm", "r\r", " s", "\u00e9"]),
+]
+
+
+def random_column(rng, rows: int) -> np.ndarray:
+    """A column of `rows` cells drawn from one pool: runs (np.repeat) or a
+    repeated pattern (np.tile), sometimes read backwards (a strided view)."""
+    pool = CELL_POOLS[rng.integers(len(CELL_POOLS))]
+    if rng.random() < 0.5:
+        cells = rng.choice(pool, size=rows + 1)
+        column = np.repeat(cells, rng.integers(1, 9, size=rows + 1))[:rows]
+    else:
+        column = np.tile(rng.choice(pool, size=rng.integers(1, 5)), rows)[:rows]
+    return column[::-1] if rng.random() < 0.25 else column
+
+
+def test_column_writers_match_oracles_on_random_tables(tmp_path, monkeypatch):
+    rng = np.random.default_rng(20261018)
+    for table in range(300):
+        rows = int(rng.integers(0, 40))
+        columns = {f"c{i}" if i != 1 else 'c "1",': random_column(rng, rows)
+                   for i in range(rng.integers(2, 6))}
+        first = next(iter(columns.values()))
+        arrays = {**columns, "grid": np.stack([first, first[::-1]], axis=1)}
+        for chunk_rows in (1, 3, 4096):
+            monkeypatch.setattr(cli, "_CHUNK_ROWS", chunk_rows)
+            assert_writers_match_oracles(tmp_path, columns, arrays)
 
 
 def fresh_python(code: str, cwd=None) -> list[str]:

@@ -81,6 +81,12 @@ def test_strategy_values():
     assert sr.value(7) == vals[7]
 
 
+def test_seeded_random_refuses_an_empty_range():
+    with pytest.raises(ValueError, match="low 12.0 is above high -3.0"):
+        SeededRandom(12.0, -3.0, seed=5)
+    assert SeededRandom(4.5, 4.5, seed=5).value(3) == 4.5  # a point range stays legal
+
+
 # ------------------------------------------------------------------- runs
 
 

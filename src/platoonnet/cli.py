@@ -408,6 +408,8 @@ def _csv_cell(value) -> str:
 
 
 def _number_texts(part: np.ndarray, json_style: bool) -> list[str]:
+    """repr of each entry of a numeric array, but booleans and, in JSON,
+    non-finite floats spelled as the format spells them."""
     values = part.tolist()
     if part.dtype.kind == "b":
         return list(map((("false", "true") if json_style else ("0", "1")).__getitem__, values))
@@ -428,10 +430,10 @@ def _texts(part, json_style: bool):
     -0.0 stay apart.  A string array spells each distinct string once."""
     if isinstance(part, np.ndarray) and part.dtype.kind in "biuf":
         bits = part.view(f"u{part.itemsize}")
-        changes = np.flatnonzero(bits[1:] != bits[:-1]) + 1
-        if 2 * len(changes) >= len(part):
+        changed = bits[1:] != bits[:-1]
+        if 2 * np.count_nonzero(changed) >= len(part):
             return _number_texts(part, json_style)
-        bounds = np.concatenate(([0], changes, [len(part)]))
+        bounds = np.concatenate(([0], np.flatnonzero(changed) + 1, [len(part)]))
         heads = _number_texts(part[bounds[:-1]], json_style)
         return chain.from_iterable(map(repeat, heads, np.diff(bounds).tolist()))
     spell = json.dumps if json_style else _csv_cell

@@ -1,7 +1,6 @@
 import ast
 import csv
 import importlib
-import io
 import json
 import math
 import re
@@ -874,7 +873,7 @@ def random_column(rng, rows: int) -> np.ndarray:
 
 def test_column_writers_match_oracles_on_random_tables(tmp_path, monkeypatch):
     rng = np.random.default_rng(20261018)
-    for table in range(300):
+    for _ in range(300):
         rows = int(rng.integers(0, 40))
         columns = {f"c{i}" if i != 1 else 'c "1",': random_column(rng, rows)
                    for i in range(rng.integers(2, 6))}

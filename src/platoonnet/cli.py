@@ -24,7 +24,6 @@ import json
 import math
 import sys
 from importlib import import_module
-from itertools import chain, repeat
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -392,9 +391,18 @@ def _table(fmt: str, header: list[str], columns, suffix: str = "") -> dict:
     return {f"{suffix}.json": lambda path: _write_json_records(path, dict(zip(header, columns)))}
 
 
-# Traces are written a chunk of rows at a time, column by column, so that
-# only one chunk is ever held as Python objects and text.
+# Traces are written a chunk of rows at a time, and a 2-D array a chunk of
+# about as many cells, so that only one chunk's text is held at once.
 _CHUNK_ROWS = 4096
+# Rows are put together as a byte matrix of about this size at a time, which
+# keeps a chunk's rows from adding to a trace job's max RSS.
+_BLOCK_BYTES = 1 << 16
+# Cell text matrices pad each cell with this byte, which UTF-8 never uses.
+_PAD = 0xFF
+# A numeric chunk of fewer cells is spelled value by value, as the cells of a
+# Python list are: importing numtext compiles it, ~5 ms in each process, which
+# a table of a few dozen numbers (estimate, sweep) would pay for nothing.
+_KERNEL_CELLS = 256
 
 # csv.writer's writerow returns what its file's write returns: here, the text
 # of the row, quotes and line terminator included.
@@ -407,107 +415,134 @@ def _csv_cell(value) -> str:
     return _CSV_ROW([value, ""])[:-2]
 
 
-def _number_texts(part: np.ndarray, json_style: bool) -> list[str]:
-    """repr of each entry of a numeric array, but booleans and, in JSON,
-    non-finite floats spelled as the format spells them."""
-    values = part.tolist()
-    if part.dtype.kind == "b":
-        return list(map((("false", "true") if json_style else ("0", "1")).__getitem__, values))
-    texts = list(map(repr, values))
-    if json_style and part.dtype.kind == "f":
-        for i in np.flatnonzero(~np.isfinite(part)).tolist():
-            texts[i] = json.dumps(values[i])  # NaN, Infinity, -Infinity
-    return texts
+def _packed(texts: list[bytes], index):
+    """Text matrix of the cells texts[i] for i in `index`, padded with _PAD."""
+    lengths = np.array(list(map(len, texts)), np.intp)
+    width = int(lengths.max(initial=0))
+    table = np.array(texts, dtype=f"S{max(width, 1)}").view(np.uint8)
+    table = table.reshape(len(texts), -1)[:, :width]
+    table[np.arange(width) >= lengths[:, None]] = _PAD
+    return table[index]
 
 
-def _texts(part, json_style: bool):
-    """The text of each cell of a 1-D chunk (numpy array or sequence): as
-    json.dump spells it, or as csv.writer does, quotes included, except that
-    boolean arrays are spelled 0 and 1 in CSV.
+def _cells(part, json_style: bool) -> np.ndarray:
+    """The text of each cell of a 1-D chunk (numpy array or sequence) as a
+    `(cells, width)` uint8 matrix, each row padded with _PAD: as json.dump
+    spells the cell, or as csv.writer does, quotes included, except that
+    boolean arrays are spelled 0 and 1 in CSV.  A numeric chunk of at
+    least _KERNEL_CELLS cells is spelled by `numtext`, the same text as
+    value by value; strings are spelled once per distinct value."""
+    if isinstance(part, np.ndarray) and part.dtype.kind in "iuf" and part.size >= _KERNEL_CELLS:
+        from .numtext import number_cells
 
-    A numeric chunk whose runs of bitwise-equal neighbours cover at least
-    half of it formats only the head of each run; bitwise, so that 0.0 and
-    -0.0 stay apart.  A string array spells each distinct string once."""
-    if isinstance(part, np.ndarray) and part.dtype.kind in "biuf":
-        bits = part.view(f"u{part.itemsize}")
-        changed = bits[1:] != bits[:-1]
-        if 2 * np.count_nonzero(changed) >= len(part):
-            return _number_texts(part, json_style)
-        bounds = np.concatenate(([0], np.flatnonzero(changed) + 1, [len(part)]))
-        heads = _number_texts(part[bounds[:-1]], json_style)
-        return chain.from_iterable(map(repeat, heads, np.diff(bounds).tolist()))
+        return number_cells(part, json_style)
+    if isinstance(part, np.ndarray) and part.dtype.kind == "b":
+        return _packed([b"false", b"true"] if json_style else [b"0", b"1"], part.view(np.uint8))
     spell = json.dumps if json_style else _csv_cell
-    values = part.tolist() if isinstance(part, np.ndarray) else part
     if isinstance(part, np.ndarray) and part.dtype.kind == "U":
-        spelled = {value: spell(value) for value in set(values)}
-        return list(map(spelled.__getitem__, values))
-    return list(map(spell, values))
+        codes: dict[str, int] = {}
+        index = [codes.setdefault(value, len(codes)) for value in part.tolist()]
+        return _packed([spell(value).encode() for value in codes], index)
+    values = part.tolist() if isinstance(part, np.ndarray) else part
+    return _packed([spell(value).encode() for value in values], slice(None))
+
+
+def _write_rows(fh, rows: int, pieces: list, trim: int = 0) -> None:
+    """Write `rows` rows, each the concatenation of `pieces`, and leave out
+    the last `trim` bytes.  A piece is bytes, the same in every row, or the
+    cells of each row with the bytes that go between them, `(text,
+    between)`: text[i, j] holds cell j of row i, padded with _PAD.  Rows are
+    put together in byte matrices of about _BLOCK_BYTES, and the padding
+    dropped."""
+    widths = [len(p) if isinstance(p, bytes) else p[0].shape[1] * (p[0].shape[2] + len(p[1]))
+              for p in pieces]
+    step = max(_BLOCK_BYTES // max(sum(widths), 1), 1)
+    for start in range(0, rows, step):
+        block = slice(start, start + step)
+        text = np.empty((min(step, rows - start), sum(widths)), np.uint8)
+        at = 0
+        for piece, width in zip(pieces, widths):
+            cols = slice(at, at + width)
+            at += width
+            if isinstance(piece, bytes):
+                text[:, cols] = np.frombuffer(piece, np.uint8)
+                continue
+            cells, between = piece
+            size = cells.shape[2]
+            out = np.reshape(text[:, cols], (len(text), cells.shape[1], size + len(between)),
+                             copy=False)
+            out[:, :, :size] = cells[block]
+            out[:, :-1, size:] = np.frombuffer(between, np.uint8)
+            out[:, -1, size:] = _PAD
+        flat = text.ravel()
+        data = flat[flat != _PAD].data
+        fh.write(data[: len(data) - trim] if start + step >= rows else data)
+
+
+def _write_table(fh, columns, seps: list[bytes], json_style: bool, trim: int = 0,
+                 between: bytes = b"") -> None:
+    """Rows of equal-length columns, row i being seps[0], the cells of row i
+    in columns[0], seps[1], ..., seps[-1]; the last `trim` bytes of the last
+    row are left out.  A column is a numpy array or a sequence; a 2-D array
+    gives row i of it as the cells of row i, with `between` between them."""
+    rows = len(columns[0])
+    cells_per_row = max(c.shape[1] if getattr(c, "ndim", 1) == 2 else 1 for c in columns)
+    step = max(_CHUNK_ROWS // cells_per_row, 1)
+    for start in range(0, rows, step):
+        pieces = [seps[0]]
+        for column, sep in zip(columns, seps[1:]):
+            part = column[start : start + step]
+            grid = getattr(part, "ndim", 1) == 2
+            cells = _cells(part.ravel() if grid else part, json_style)
+            shape = part.shape if grid else (len(part), 1)
+            pieces += [(cells.reshape(*shape, cells.shape[1]), between), sep]
+        _write_rows(fh, min(step, rows - start), pieces, trim if start + step >= rows else 0)
 
 
 def _write_csv(path: Path, header: list[str], columns) -> None:
     """CSV of two or more equal-length columns (numpy arrays or sequences);
     the same bytes as csv.writer fed one row at a time, except that boolean
     arrays are spelled 0 and 1."""
-    rows = len(columns[0])
-    line = ",".join(["%s"] * len(columns)) + "\n"
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(_CSV_ROW(header))
-        for start in range(0, rows, _CHUNK_ROWS):
-            texts = [_texts(c[start : start + _CHUNK_ROWS], False) for c in columns]
-            fh.writelines(map(line.__mod__, zip(*texts)))
-
-
-def _json_items(part: np.ndarray, indent: str) -> list[str]:
-    """json.dump(indent=2) texts of the entries of a 1-D or 2-D array whose
-    list sits at `indent`."""
-    texts = list(_texts(part.ravel(), True))
-    if part.ndim == 1:
-        return texts
-    width = part.shape[1]
-    if width == 0:
-        return ["[]"] * len(part)
-    inner = indent + "  "
-    sep = ",\n" + inner
-    return [
-        "[\n" + inner + sep.join(texts[i : i + width]) + "\n" + indent + "]"
-        for i in range(0, len(texts), width)
-    ]
+    with open(path, "wb") as fh:
+        fh.write(_CSV_ROW(header).encode())
+        _write_table(fh, columns, [b""] + [b","] * (len(columns) - 1) + [b"\n"], False)
 
 
 def _write_json_arrays(path: Path, fields: dict[str, np.ndarray]) -> None:
     """JSON object of 1-D and 2-D arrays; the same bytes as
     json.dump({name: array.tolist()}, indent=2, sort_keys=True)."""
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("{")
+    with open(path, "wb") as fh:
+        fh.write(b"{")
         for idx, name in enumerate(sorted(fields)):
             arr = fields[name]
-            fh.write(("," if idx else "") + f"\n  {json.dumps(name)}: ")
+            fh.write((("," if idx else "") + f"\n  {json.dumps(name)}: ").encode())
             if not len(arr):
-                fh.write("[]")
+                fh.write(b"[]")
                 continue
-            fh.write("[\n    ")
-            for start in range(0, len(arr), _CHUNK_ROWS):
-                if start:
-                    fh.write(",\n    ")
-                fh.write(",\n    ".join(_json_items(arr[start : start + _CHUNK_ROWS], "    ")))
-            fh.write("\n  ]")
-        fh.write("\n}\n")
+            fh.write(b"[\n    ")
+            if arr.ndim == 1:
+                _write_table(fh, [arr], [b"", b",\n    "], True, trim=6)
+            elif arr.shape[1]:
+                _write_table(fh, [arr], [b"[\n      ", b"\n    ],\n    "], True, trim=6,
+                             between=b",\n      ")
+            else:
+                fh.write(b",\n    ".join([b"[]"] * len(arr)))
+            fh.write(b"\n  ]")
+        fh.write(b"\n}\n")
 
 
 def _write_json_records(path: Path, columns: dict[str, np.ndarray]) -> None:
     """JSON list of one object per row of equal-length 1-D columns; the same
     bytes as json.dump([{name: column[i]}, ...], indent=2, sort_keys=True)."""
     names = sorted(columns)
-    record = "  {\n" + ",\n".join(f"    {json.dumps(name)}: %s" for name in names) + "\n  }"
+    keys = [f"    {json.dumps(name)}: ".encode() for name in names]
     rows = len(columns[names[0]])
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("[\n" if rows else "[]")
-        for start in range(0, rows, _CHUNK_ROWS):
-            texts = [_texts(columns[name][start : start + _CHUNK_ROWS], True) for name in names]
-            if start:
-                fh.write(",\n")
-            fh.write(",\n".join(map(record.__mod__, zip(*texts))))
-        fh.write("\n]\n" if rows else "\n")
+    with open(path, "wb") as fh:
+        fh.write(b"[\n" if rows else b"[]")
+        _write_table(fh, [columns[name] for name in names],
+                     [b"  {\n" + keys[0], *(b",\n" + key for key in keys[1:]), b"\n  },\n"],
+                     True, trim=2)
+        fh.write(b"\n]\n" if rows else b"\n")
 
 
 def _parse_platoon(text: str) -> PlatoonSpec:

@@ -332,7 +332,9 @@ def connectivity_report(
         rb = robustness(g, limit=rb_limit)
     else:
         rb_note = "skipped: n too large"
-    if g.n <= iso_limit or require_iso:
+    if g.n < 2:  # no subset S with 0 < |S| <= n/2
+        iso_note = "undefined: n < 2"
+    elif g.n <= iso_limit or require_iso:
         iso, _ = isoperimetric_constant(g, limit=iso_limit)
     else:
         iso_note = "skipped: n too large"

@@ -61,6 +61,22 @@ def test_analyze_graph_file(tmp_path):
     assert got["lambda2_bounds"] is None  # no platoon parameters known
 
 
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_analyze_graph_of_one_vehicle(tmp_path, fmt):
+    gpath = tmp_path / "one.json"
+    gpath.write_text('{"n": 1, "edges": []}\n')
+    out = tmp_path / "out"
+    assert main(["analyze", "--graph", str(gpath), "--format", fmt, "--out", str(out)]) == 0
+    (name,) = read_manifest(out)["outputs"]
+    if fmt == "json":
+        got = json.loads((out / name).read_text())
+        assert got["isoperimetric"] is None and got["robustness"] == 1
+        assert got["isoperimetric_note"] == "undefined: n < 2"
+    else:
+        rows = dict(read_csv(out / name)[1:])
+        assert rows["isoperimetric"] == "" and rows["isoperimetric_note"] == "undefined: n < 2"
+
+
 def test_analyze_graph_file_rejects_boolean_vertex_ids(tmp_path, capsys):
     gpath = tmp_path / "g.json"
     gpath.write_text('{"n": 3, "edges": [[true, 0], [1, 2]]}\n')
@@ -884,6 +900,33 @@ def test_column_writers_match_oracles_on_random_tables(tmp_path, monkeypatch):
             assert_writers_match_oracles(tmp_path, columns, arrays)
 
 
+def test_column_writers_match_oracles_through_numtext(tmp_path, monkeypatch):
+    # the tables above are short, so their numbers are spelled value by
+    # value; here every numeric chunk goes through numtext, however short
+    monkeypatch.setattr(cli, "_KERNEL_CELLS", 0)
+    floats = np.array(TRICKY_FLOATS + RUN_FLOATS)
+    assert_writers_match_oracles(tmp_path, {"f": floats, "i": np.arange(len(floats)) - 9},
+                                 {"grid": np.stack([floats, floats[::-1]], axis=1)})
+    rng = np.random.default_rng(20261019)
+    for _ in range(100):
+        rows = int(rng.integers(0, 40))
+        columns = {f"c{i}": random_column(rng, rows) for i in range(rng.integers(2, 6))}
+        first = next(iter(columns.values()))
+        arrays = {**columns, "grid": np.stack([first, first[::-1]], axis=1)}
+        for chunk_rows in (1, 3, 4096):
+            monkeypatch.setattr(cli, "_CHUNK_ROWS", chunk_rows)
+            assert_writers_match_oracles(tmp_path, columns, arrays)
+
+
+def test_writers_keep_a_nul_inside_a_string_cell(tmp_path):
+    # cells are padded with 0xFF, which UTF-8 never uses; a NUL is text
+    names = np.array(["a\x00b", "\x00c", "d"])
+    cells = ["x\x00", "\x00", "y\x00z"]
+    columns = {"names": names, "cells": cells, "f": np.array([0.5, -0.0, 1e-7])}
+    assert_writers_match_oracles(tmp_path, columns, {"names": names})
+    assert b"a\x00b," in (tmp_path / "got.csv").read_bytes()
+
+
 def fresh_python(code: str, cwd=None) -> list[str]:
     """stderr lines of `code` run in a new interpreter on this checkout's sources."""
     src = str(Path(__file__).resolve().parent.parent / "src")
@@ -903,17 +946,33 @@ def test_cli_import_leaves_jsonschema_unloaded(tmp_path):
     assert fresh_python(code) == ["False", "[0, 0, 0] False"]
 
 
+def test_cli_help_and_analyze_leave_numtext_unloaded(tmp_path):
+    # the number-spelling kernel is compiled only by runs that write a
+    # numeric column: not by --help, nor by analyze in either format
+    runs = [["analyze", "--platoon", "14,3", "--format", fmt] for fmt in ("csv", "json")]
+    code = ("import sys, platoonnet.cli as cli\n"
+            "print('platoonnet.numtext' in sys.modules, file=sys.stderr)\n"
+            "try:\n    cli.main(['--help'])\nexcept SystemExit:\n    pass\n"
+            "print('platoonnet.numtext' in sys.modules, file=sys.stderr)\n"
+            f"codes = [cli.main(argv + ['--out', {str(tmp_path)!r}]) for argv in {runs!r}]\n"
+            "print(codes, 'platoonnet.numtext' in sys.modules, file=sys.stderr)")
+    assert fresh_python(code) == ["False", "False", "[0, 0] False"]
+
+
 def test_cli_import_leaves_importlib_metadata_unloaded():
     code = ("import sys; before = 'importlib.metadata' in sys.modules; import platoonnet.cli; "
             "print(before, 'importlib.metadata' in sys.modules, file=sys.stderr)")
     assert fresh_python(code) == ["False False"]
 
 
+# a subcommand that writes a long numeric column also loads the writers' numtext
 @pytest.mark.parametrize("argv, own", [
     (["analyze", "--platoon", "8,2"], ["connectivity"]),
     (["estimate", "--scenario", str(SCENARIOS / "estimation-single-fault.json")], ["estimation"]),
-    (["consensus", "--scenario", str(SCENARIOS / "consensus-ramp-tolerated.json")], ["consensus"]),
-    (["formation", "--config", str(SCENARIOS / "formation-worst-case.json")], ["formation"]),
+    (["consensus", "--scenario", str(SCENARIOS / "consensus-ramp-tolerated.json")],
+     ["consensus", "numtext"]),
+    (["formation", "--config", str(SCENARIOS / "formation-worst-case.json")],
+     ["formation", "numtext"]),
     (["sweep", "--n", "5:8", "--k", "1:3", "--kp", "5", "--ku", "10"], ["formation"]),
     (["--help"], []),
     (["analyze", "--help"], []),

@@ -343,6 +343,20 @@ def test_connectivity_report_skips_with_note():
         connectivity_report(g, require_robustness=True)
 
 
+@pytest.mark.parametrize("limit", [None, 0, 22])
+@pytest.mark.parametrize("require_iso", [False, True])
+def test_connectivity_report_of_one_vehicle(limit, require_iso):
+    # no subset S with 0 < |S| <= n/2: the isoperimetric constant is undefined,
+    # whatever the limit, and robustness reports its definitional cap
+    g = Graph(1, [])
+    rep = connectivity_report(g, limit=limit, require_iso=require_iso)
+    assert rep.iso is None and rep.iso_note == "undefined: n < 2"
+    assert rep.to_json_dict()["isoperimetric"] is None
+    assert rep.robustness == (None if limit == 0 else 1)
+    with pytest.raises(ValueError, match="n >= 2"):
+        isoperimetric_constant(g)
+
+
 @pytest.mark.parametrize("limit", [None, 0, 8, 19, 22])
 def test_one_limit_caps_both_measures(limit):
     # limit=None leaves each measure at its own default limit; a measure over

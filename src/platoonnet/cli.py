@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import argparse
 import csv
-import hashlib
 import json
 import math
 import sys
@@ -335,6 +334,8 @@ def _scenario_seed(data: dict, seed_override: int | None) -> int:
 
 
 def _config_hash(config: dict) -> str:
+    import hashlib  # here, not at the top: --help and refusals never hash
+
     blob = json.dumps(config, sort_keys=True, separators=(",", ":")).encode("utf-8")
     return hashlib.sha256(blob).hexdigest()[:12]
 
@@ -415,14 +416,14 @@ def _csv_cell(value) -> str:
     return _CSV_ROW([value, ""])[:-2]
 
 
-def _packed(texts: list[bytes], index):
-    """Text matrix of the cells texts[i] for i in `index`, padded with _PAD."""
+def _packed(texts: list[bytes]) -> np.ndarray:
+    """Text matrix of the cells `texts`, each padded with _PAD."""
     lengths = np.array(list(map(len, texts)), np.intp)
     width = int(lengths.max(initial=0))
     table = np.array(texts, dtype=f"S{max(width, 1)}").view(np.uint8)
-    table = table.reshape(len(texts), -1)[:, :width]
+    table = table.reshape(-1, max(width, 1))[:, :width]
     table[np.arange(width) >= lengths[:, None]] = _PAD
-    return table[index]
+    return table
 
 
 def _cells(part, json_style: bool) -> np.ndarray:
@@ -431,20 +432,16 @@ def _cells(part, json_style: bool) -> np.ndarray:
     spells the cell, or as csv.writer does, quotes included, except that
     boolean arrays are spelled 0 and 1 in CSV.  A numeric chunk of at
     least _KERNEL_CELLS cells is spelled by `numtext`, the same text as
-    value by value; strings are spelled once per distinct value."""
+    value by value."""
     if isinstance(part, np.ndarray) and part.dtype.kind in "iuf" and part.size >= _KERNEL_CELLS:
         from .numtext import number_cells
 
         return number_cells(part, json_style)
     if isinstance(part, np.ndarray) and part.dtype.kind == "b":
-        return _packed([b"false", b"true"] if json_style else [b"0", b"1"], part.view(np.uint8))
+        return _packed([b"false", b"true"] if json_style else [b"0", b"1"])[part.view(np.uint8)]
     spell = json.dumps if json_style else _csv_cell
-    if isinstance(part, np.ndarray) and part.dtype.kind == "U":
-        codes: dict[str, int] = {}
-        index = [codes.setdefault(value, len(codes)) for value in part.tolist()]
-        return _packed([spell(value).encode() for value in codes], index)
     values = part.tolist() if isinstance(part, np.ndarray) else part
-    return _packed([spell(value).encode() for value in values], slice(None))
+    return _packed([spell(value).encode() for value in values])
 
 
 def _write_rows(fh, rows: int, pieces: list, trim: int = 0) -> None:
@@ -480,27 +477,33 @@ def _write_rows(fh, rows: int, pieces: list, trim: int = 0) -> None:
 
 
 def _write_table(fh, columns, seps: list[bytes], json_style: bool, trim: int = 0,
-                 between: bytes = b"") -> None:
-    """Rows of equal-length columns, row i being seps[0], the cells of row i
-    in columns[0], seps[1], ..., seps[-1]; the last `trim` bytes of the last
-    row are left out.  A column is a numpy array or a sequence; a 2-D array
-    gives row i of it as the cells of row i, with `between` between them."""
-    rows = len(columns[0])
+                 between: bytes = b"") -> int:
+    """Write rows of equal-length columns, and return how many: row i is
+    seps[0], the cells of row i in columns[0], seps[1], ..., seps[-1]; the
+    last `trim` bytes of the last row are left out.  A column is a numpy
+    array, a list, or a pair `(values, index)` standing for values[index],
+    whose values are spelled once and their text gathered by index.  A 2-D
+    array gives row i of it as the cells of row i, with `between` between
+    them."""
+    rows = len(columns[0][1] if isinstance(columns[0], tuple) else columns[0])
     cells_per_row = max(c.shape[1] if getattr(c, "ndim", 1) == 2 else 1 for c in columns)
     step = max(_CHUNK_ROWS // cells_per_row, 1)
+    spelled = [_cells(c[0], json_style) if isinstance(c, tuple) else None for c in columns]
     for start in range(0, rows, step):
         pieces = [seps[0]]
-        for column, sep in zip(columns, seps[1:]):
-            part = column[start : start + step]
+        for column, text, sep in zip(columns, spelled, seps[1:]):
+            part = (column if text is None else column[1])[start : start + step]
             grid = getattr(part, "ndim", 1) == 2
-            cells = _cells(part.ravel() if grid else part, json_style)
+            cells = (_cells(part.ravel() if grid else part, json_style) if text is None
+                     else text[part])
             shape = part.shape if grid else (len(part), 1)
             pieces += [(cells.reshape(*shape, cells.shape[1]), between), sep]
         _write_rows(fh, min(step, rows - start), pieces, trim if start + step >= rows else 0)
+    return rows
 
 
 def _write_csv(path: Path, header: list[str], columns) -> None:
-    """CSV of two or more equal-length columns (numpy arrays or sequences);
+    """CSV of two or more equal-length columns (as `_write_table` takes them);
     the same bytes as csv.writer fed one row at a time, except that boolean
     arrays are spelled 0 and 1."""
     with open(path, "wb") as fh:
@@ -531,18 +534,18 @@ def _write_json_arrays(path: Path, fields: dict[str, np.ndarray]) -> None:
         fh.write(b"\n}\n")
 
 
-def _write_json_records(path: Path, columns: dict[str, np.ndarray]) -> None:
-    """JSON list of one object per row of equal-length 1-D columns; the same
-    bytes as json.dump([{name: column[i]}, ...], indent=2, sort_keys=True)."""
+def _write_json_records(path: Path, columns: dict) -> None:
+    """JSON list of one object per row of equal-length 1-D `_write_table`
+    columns; the same bytes as json.dump([{name: column[i]}, ...], indent=2,
+    sort_keys=True)."""
     names = sorted(columns)
     keys = [f"    {json.dumps(name)}: ".encode() for name in names]
-    rows = len(columns[names[0]])
     with open(path, "wb") as fh:
-        fh.write(b"[\n" if rows else b"[]")
-        _write_table(fh, [columns[name] for name in names],
-                     [b"  {\n" + keys[0], *(b",\n" + key for key in keys[1:]), b"\n  },\n"],
-                     True, trim=2)
-        fh.write(b"\n]\n" if rows else b"\n")
+        fh.write(b"[")
+        rows = _write_table(fh, [columns[name] for name in names],
+                            [b"\n  {\n" + keys[0], *(b",\n" + key for key in keys[1:]),
+                             b"\n  },"], True, trim=1)
+        fh.write(b"\n]\n" if rows else b"]\n")
 
 
 def _parse_platoon(text: str) -> PlatoonSpec:
@@ -726,11 +729,10 @@ def cmd_consensus(args) -> int:
     config = {"scenario": args.scenario, "seed": seed}
     x0 = scenario_x0(seed, g.n, 0.0, 10.0)
     trace = run_wmsr(g, x0, adversaries, f=f, T=T, tol=tol)
-    steps = trace.values.shape[0]
-    is_adversary = np.zeros(g.n, dtype=bool)
-    is_adversary[list(trace.adversaries)] = True
-    columns = [np.repeat(np.arange(steps), g.n), np.tile(np.arange(g.n), steps),
-               trace.values.ravel(), np.tile(is_adversary, steps)]
+    is_adversary = np.isin(np.arange(g.n), trace.adversaries)
+    step, vehicle = np.indices(trace.values.shape).reshape(2, -1)
+    columns = [(np.arange(T + 1), step), (np.arange(g.n), vehicle), trace.values.ravel(),
+               (is_adversary, vehicle)]
     results = {
         "converged_at": trace.converged_at,
         "final_spread": trace.spread(T),
@@ -812,15 +814,16 @@ def cmd_formation(args) -> int:
     )
 
     edge_names = np.array([f"{i}-{j}" for i, j in system.graph.edges])
-    n, m, samples = system.graph.n, system.graph.m, len(trace.t)
     if args.format == "csv":
+        sample, vehicle = np.indices(trace.positions.shape).reshape(2, -1)
+        edge_sample, edge = np.indices(trace.span_errors.shape).reshape(2, -1)
         files = {
             **_table("csv", ["t", "vehicle", "p", "u"],
-                     [np.repeat(trace.t, n), np.tile(np.arange(n), samples),
+                     [(trace.t, sample), (np.arange(system.graph.n), vehicle),
                       trace.positions.ravel(), trace.velocities.ravel()], "-vehicles"),
             **_table("csv", ["t", "edge", "spacing_error"],
-                     [np.repeat(trace.t, m), np.tile(edge_names, samples),
-                      trace.span_errors.ravel()], "-edges"),
+                     [(trace.t, edge_sample), (edge_names, edge), trace.span_errors.ravel()],
+                     "-edges"),
         }
     else:
         arrays = {

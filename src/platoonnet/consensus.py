@@ -114,14 +114,17 @@ def run_wmsr(
     Adversary rows of the trace follow their scripted strategy exactly
     (including step 0, overriding x0 there).  Warns if the adversary set is
     not f-local — the convergence guarantee is only sufficient under
-    (2f+1)-robustness plus an f-local adversary set.  Every step is checked
-    against the safety hull: each normal value must stay within the previous
-    step's normal [min, max] (violations are recorded, and impossible when
-    the adversary set is f-local).
+    (2f+1)-robustness plus an f-local adversary set.  The kept values are
+    added greater ones largest first, then smaller ones smallest first, then
+    equal ones.  After the run, each normal value is checked against the
+    safety hull, the previous step's normal [min, max] (violations are
+    recorded, and impossible when the adversary set is f-local).
     """
     n = g.n
     if f < 0:
         raise ValueError("f must be >= 0")
+    if T < 0:
+        raise ValueError("T must be >= 0")
     x0 = np.asarray(x0, dtype=np.float64)
     if x0.shape != (n,):
         raise ValueError(f"x0 must have shape ({n},)")
@@ -147,53 +150,47 @@ def run_wmsr(
     for v, strat in strategy.items():
         values[:, v] = [strat.value(k) for k in range(T + 1)]
 
-    # One W-MSR step for every normal vehicle at once.  Row r of nbr lists
+    # One W-MSR step for every normal vehicle at once.  Column r of nbr lists
     # the neighbours of normal[r], padded with index n, which reads NaN: it
-    # is neither greater, smaller nor equal to the own value, so never kept.
+    # sorts last, and is neither greater, smaller nor equal to the own value.
     rows = np.array(normal)
     nbr_lists = [neighbors(g, i) for i in normal]
     width = max(len(nl) for nl in nbr_lists)
-    nbr = np.full((len(normal), width), n)
+    nbr = np.full((width, len(normal)), n)
     for r, nl in enumerate(nbr_lists):
-        nbr[r, : len(nl)] = nl
-    row_of = np.arange(len(normal))[:, None]
-    pos = np.arange(width)
+        nbr[: len(nl), r] = nl
     ext = np.full(n + 1, np.nan)
-    # The kept values are added from 0.0, left to right, in a fixed order:
-    # the greater ones largest first, then the smaller ones smallest first,
-    # then the equal ones.  They sit in that order after a 0.0 column, so
-    # the running sum along a row adds them so; a dropped value is a 0.0
-    # there, which leaves the sum as it is.
-    summands = np.zeros((len(normal), width + 1))
-
-    violations: list[tuple[int, int]] = []
-    converged_at: int | None = None
-    for k in range(T + 1):
-        vals = values[k, rows]
-        lo, hi = float(vals.min()), float(vals.max())
-        if converged_at is None and hi - lo < tol:
-            converged_at = k
-        if k == T:
-            break
-        slack = _HULL_SLACK * (1.0 + max(abs(lo), abs(hi)))
+    # A column of `layout` is [0 | sorted neighbours reversed | sorted], kept
+    # where greater than own and past the f largest, smaller and past the f
+    # smallest, or equal.  A running sum down it adds the kept values in the
+    # order above (a dropped one reads 0.0); the 0 slot counts the own value.
+    pos = np.arange(width)[:, None]
+    keep = np.vstack([np.ones((1, len(normal)), bool), pos >= width - (nbr < n).sum(axis=0) + f,
+                      np.broadcast_to(pos >= f, nbr.shape)])
+    layout = np.zeros(keep.shape)
+    greater, ascending = layout[1 : width + 1], layout[width + 1 :]
+    mask = keep.copy()
+    for k in range(T):
         ext[:n] = values[k]
-        own = vals[:, None]
-        nv = ext[nbr]
-        n_g = (nv > own).sum(axis=1, keepdims=True)
-        n_s = (nv < own).sum(axis=1, keepdims=True)
-        n_all = n_g + n_s + (nv == own).sum(axis=1, keepdims=True)
-        # ascending, a row is [smaller | equal | greater | padding]; read it
-        # in summation order: greater descending, smaller, equal
-        ascending = np.sort(nv, axis=1)
-        order = np.where(pos < n_g, n_all - 1 - pos, pos - n_g)
-        kept = np.where(pos < n_g, pos >= f, (pos >= n_g + f) | (pos >= n_g + n_s))
-        kept &= pos < n_all
-        summands[:, 1:] = np.where(kept, ascending[row_of, order], 0.0)
-        total = np.cumsum(summands, axis=1)[:, -1]
-        new = (vals + total) / (1 + kept.sum(axis=1))
-        values[k + 1, rows] = new
-        outside = ~((lo - slack <= new) & (new <= hi + slack))
-        violations.extend((k + 1, int(i)) for i in rows[outside])
+        own = ext[rows]
+        ascending[...] = ext[nbr]
+        ascending.sort(axis=0)
+        greater[...] = ascending[::-1]
+        np.greater(greater, own, out=mask[1 : width + 1])
+        np.less(ascending, own, out=mask[width + 1 :])
+        mask &= keep
+        mask[width + 1 :] |= ascending == own
+        total = np.cumsum(np.where(mask, layout, 0.0), axis=0)[-1]
+        values[k + 1, rows] = (own + total) / mask.sum(axis=0)
+
+    is_normal = np.isin(np.arange(n), rows)
+    lo = values.min(axis=1, where=is_normal, initial=np.inf)
+    hi = values.max(axis=1, where=is_normal, initial=-np.inf)
+    converged = np.flatnonzero(hi - lo < tol)
+    slack = _HULL_SLACK * (1.0 + np.maximum(np.abs(lo), np.abs(hi)))
+    new = values[1:]
+    outside = ~(((lo - slack)[:-1, None] <= new) & (new <= (hi + slack)[:-1, None]))
+    step, vehicle = np.nonzero(outside & is_normal)
 
     return ConsensusTrace(
         values=values,
@@ -201,6 +198,6 @@ def run_wmsr(
         adversaries=tuple(sorted(adv_ids)),
         f=f,
         tol=tol,
-        converged_at=converged_at,
-        safety_violations=tuple(violations),
+        converged_at=int(converged[0]) if converged.size else None,
+        safety_violations=tuple(zip((step + 1).tolist(), vehicle.tolist())),
     )

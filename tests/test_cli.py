@@ -918,6 +918,32 @@ def test_column_writers_match_oracles_through_numtext(tmp_path, monkeypatch):
             assert_writers_match_oracles(tmp_path, columns, arrays)
 
 
+@pytest.mark.parametrize("chunk_rows", [3, 4096])
+def test_indexed_columns_write_the_gathered_values(tmp_path, monkeypatch, chunk_rows):
+    # a column given as (values, index) stands for values[index]: its values
+    # are spelled once (floats of numtext's size through numtext) and their
+    # text gathered by index, in every chunk
+    monkeypatch.setattr(cli, "_CHUNK_ROWS", chunk_rows)
+    rng = np.random.default_rng(20261020)
+    floats = np.concatenate([TRICKY_FLOATS, RUN_FLOATS, rng.normal(size=cli._KERNEL_CELLS)])
+    bases = {"t": floats, "edge": np.array(["0-1", "a,b", 'say "hi"', "\u00e9", ""]),
+             "flag": np.array([True, False]), "step": np.array([0, -7, 2**40])}
+    for rows in (5, 1, 3 * len(floats), 0):
+        columns = {name: (base, rng.integers(0, len(base), rows)) for name, base in bases.items()}
+        if not rows:  # an empty index, and one over no values at all
+            columns["step"] = (np.zeros(0, int), columns["step"][1])
+        columns["x"] = rng.choice(floats, rows)  # a plain column among them
+        gathered = {name: c[0][c[1]] if isinstance(c, tuple) else c for name, c in columns.items()}
+        header = list(columns)
+        cli._write_csv(tmp_path / "got.csv", header, list(columns.values()))
+        assert (tmp_path / "got.csv").read_bytes().decode("utf-8") == csv_writer_rows(
+            header, list(gathered.values()))
+        cli._write_json_records(tmp_path / "records.json", columns)
+        records = [dict(zip(gathered, row)) for row in zip(*map(as_list, gathered.values()))]
+        want = json.dumps(records, indent=2, sort_keys=True) + "\n"
+        assert (tmp_path / "records.json").read_text(encoding="utf-8") == want
+
+
 def test_writers_keep_a_nul_inside_a_string_cell(tmp_path):
     # cells are padded with 0xFF, which UTF-8 never uses; a NUL is text
     names = np.array(["a\x00b", "\x00c", "d"])
@@ -957,6 +983,21 @@ def test_cli_help_and_analyze_leave_numtext_unloaded(tmp_path):
             f"codes = [cli.main(argv + ['--out', {str(tmp_path)!r}]) for argv in {runs!r}]\n"
             "print(codes, 'platoonnet.numtext' in sys.modules, file=sys.stderr)")
     assert fresh_python(code) == ["False", "False", "[0, 0] False"]
+
+
+def test_cli_help_and_refusal_leave_hashlib_unloaded(tmp_path):
+    # only a run that writes files hashes its config: --help and a refused
+    # run (exit 3) do not load hashlib and its OpenSSL backend
+    out = ["--out", str(tmp_path)]
+    code = ("import sys, platoonnet.cli as cli\n"
+            "try:\n    cli.main(['--help'])\nexcept SystemExit:\n    pass\n"
+            "print('hashlib' in sys.modules, file=sys.stderr)\n"
+            f"codes = [cli.main(['analyze', '--platoon', '30,3', '--robustness', *{out!r}])]\n"
+            "print(codes, 'hashlib' in sys.modules, file=sys.stderr)\n"
+            f"codes.append(cli.main(['analyze', '--platoon', '8,2', *{out!r}]))\n"
+            "print(codes, 'hashlib' in sys.modules, file=sys.stderr)")
+    lines = fresh_python(code)
+    assert [lines[0], *lines[-2:]] == ["False", "[3] False", "[3, 0] True"]
 
 
 def test_cli_import_leaves_importlib_metadata_unloaded():

@@ -15,7 +15,7 @@ from platoonnet.consensus import (
     run_wmsr,
 )
 from platoonnet.cli import load_consensus_scenario, scenario_x0
-from platoonnet.graph import PlatoonSpec, build_knn_platoon
+from platoonnet.graph import Graph, PlatoonSpec, build_knn_platoon
 
 from helpers import wmsr_loop, wmsr_update
 
@@ -146,6 +146,8 @@ def test_run_wmsr_validation():
         run_wmsr(g, x0, [Adversary(v, Constant(0)) for v in range(5)], f=1)
     with pytest.raises(ValueError, match="shape"):
         run_wmsr(g, np.zeros(4), [], f=1)
+    with pytest.raises(ValueError, match="T must be >= 0"):
+        run_wmsr(g, x0, [], f=1, T=-1)
 
 
 def test_converged_at_matches_tolerance():
@@ -191,9 +193,10 @@ def test_resilience_property_suite(n, k, f, n_adv):
 
 def _vectorised_runs():
     """(graph, x0, adversaries, f, T) for the equivalence check: both
-    consensus fixtures, the property-suite strategies, and a set that is not
-    f-local.  Strategies are pure functions of the step, so both runs can
-    share them."""
+    consensus fixtures, the property-suite strategies, a set that is not
+    f-local, irregular graphs, signed zeros and ties, f at or above every
+    degree, and T = 0.  Strategies are pure functions of the step, so both
+    runs can share them."""
     for name in ("consensus-ramp-tolerated", "consensus-overwhelmed"):
         g, seed, adversaries, f, T, _ = load_consensus_scenario(str(SCENARIOS / f"{name}.json"))
         yield g, scenario_x0(seed, g.n, 0.0, 10.0), adversaries, f, T
@@ -207,6 +210,22 @@ def _vectorised_runs():
     g = build_knn_platoon(PlatoonSpec(12, 3))
     x0 = np.round(np.random.default_rng(4).uniform(0, 10, 12))  # integer values: many ties
     yield g, x0, [Adversary(5, Sinusoid(8.0, 0.3)), Adversary(6, Constant(-2.0))], 1, 200
+    # vertex 0 a star hub of degree 6, vertex 7 isolated: rows of widths 0 to 6
+    star = Graph.from_edges(9, [(0, v) for v in range(1, 7)] + [(1, 2), (2, 3), (5, 8)])
+    zeros = np.array([0.0, -0.0, 0.0, -0.0, 1.0, 1.0, -1.0, 0.0, -0.0])
+    for f in (0, 1, 2, 6):  # 6: every neighbour value may be trimmed
+        yield star, zeros, [], f, 30
+        yield star, zeros, [Adversary(3, Constant(-0.0)), Adversary(8, Ramp(-1.0, 0.25))], f, 30
+    yield star, zeros, [Adversary(0, Constant(0.0))], 1, 0
+    rng = np.random.default_rng(20261020)
+    for _ in range(30):
+        n = int(rng.integers(2, 12))
+        edges = [(i, j) for i in range(n) for j in range(i + 1, n) if rng.random() < 0.4]
+        x0 = rng.choice([0.0, -0.0, 1.0, 2.5, -1.0], n)
+        vehicles = rng.choice(n, size=int(rng.integers(0, min(3, n - 1) + 1)), replace=False)
+        adversaries = [Adversary(int(v), STRATEGIES[int(rng.integers(4))]()) for v in vehicles]
+        f, T = (int(x) for x in rng.integers(0, [5, 31]))
+        yield Graph.from_edges(n, edges), x0, adversaries, f, T
 
 
 def test_run_wmsr_is_bitwise_equal_to_the_scalar_reference():

@@ -400,7 +400,7 @@ _CHUNK_ROWS = 4096
 _BLOCK_BYTES = 1 << 16
 # Cell text matrices pad each cell with this byte, which UTF-8 never uses.
 _PAD = 0xFF
-# A numeric chunk of fewer cells is spelled value by value, as the cells of a
+# A float chunk of fewer cells is spelled value by value, as the cells of a
 # Python list are: importing numtext compiles it, ~5 ms in each process, which
 # a table of a few dozen numbers (estimate, sweep) would pay for nothing.
 _KERNEL_CELLS = 256
@@ -430,10 +430,10 @@ def _cells(part, json_style: bool) -> np.ndarray:
     """The text of each cell of a 1-D chunk (numpy array or sequence) as a
     `(cells, width)` uint8 matrix, each row padded with _PAD: as json.dump
     spells the cell, or as csv.writer does, quotes included, except that
-    boolean arrays are spelled 0 and 1 in CSV.  A numeric chunk of at
-    least _KERNEL_CELLS cells is spelled by `numtext`, the same text as
-    value by value."""
-    if isinstance(part, np.ndarray) and part.dtype.kind in "iuf" and part.size >= _KERNEL_CELLS:
+    boolean arrays are spelled 0 and 1 in CSV.  A float chunk of at least
+    _KERNEL_CELLS cells is spelled by `numtext`, the same text as value by
+    value."""
+    if isinstance(part, np.ndarray) and part.dtype.kind == "f" and part.size >= _KERNEL_CELLS:
         from .numtext import number_cells
 
         return number_cells(part, json_style)

@@ -28,8 +28,9 @@ from .graph import (
 
 ROBUSTNESS_LIMIT = 19
 ISO_LIMIT = 22
-# no limit reaches past this n: the 2^n tables of n = 24 already take
-# ~0.5 GiB, and the uint32 subset masks overflow past n = 32
+# no limit reaches past this n: at n = 22 the 2^n tables already peak at
+# ~65 MiB (isoperimetric constant) and ~48 MiB (robustness), 4 times as much
+# per two more vertices; the uint32 subset masks overflow past n = 32
 EXHAUSTIVE_CEILING = 22
 
 
@@ -148,13 +149,13 @@ def edge_connectivity(g: Graph) -> int:
 def _reach_table(g: Graph) -> np.ndarray:
     """reach[S] = max over v in S of |N(v) minus S| for every subset bitmask
     S of the vertices (0 for the empty set): one vector step per vertex over
-    all 2^n subsets, keeping a running maximum over the subsets holding v."""
+    all 2^n subsets, counting deg(v) - |N(v) & S| and zeroing the subsets
+    without v, which lie in the low half of each block of 2^(v+1)."""
     idx = np.arange(1 << g.n, dtype=np.uint32)
-    outside = ~idx
     reach = np.zeros(1 << g.n, dtype=np.uint8)
-    for v, mask in enumerate(g.neighbor_bitmasks):
-        count = np.bitwise_count(outside & np.uint32(mask))
-        count[(idx >> np.uint32(v)) & np.uint32(1) == 0] = 0
+    for v, (mask, deg) in enumerate(zip(g.neighbor_bitmasks, degrees(g))):
+        count = np.uint8(deg) - np.bitwise_count(idx & np.uint32(mask))
+        count.reshape(-1, 2 << v)[:, :1 << v] = 0
         np.maximum(reach, count, out=reach)
     return reach
 
@@ -209,7 +210,8 @@ def isoperimetric_constant(g: Graph, limit: int = ISO_LIMIT) -> tuple[Fraction, 
     n > limit and n > EXHAUSTIVE_CEILING.  The search is vectorized over
     all 2^n subsets, whose boundary sizes are filled in by doubling: adding
     vertex v to a subset S of the vertices below v adds deg(v) edges and
-    removes the 2 |N(v) ∩ S| edge ends that now lie inside.
+    removes the 2 |N(v) ∩ S| edge ends that now lie inside.  The minimum
+    is then taken in exact fractions over the least boundary of each size.
     """
     n = g.n
     _refuse_above(limit, n, "isoperimetric constant")
@@ -217,7 +219,6 @@ def isoperimetric_constant(g: Graph, limit: int = ISO_LIMIT) -> tuple[Fraction, 
         raise ValueError("isoperimetric constant requires n >= 2")
     total = 1 << n
     idx = np.arange(total, dtype=np.uint32)
-    size = np.bitwise_count(idx).astype(np.int32)
     nb = g.neighbor_bitmasks
     degs = degrees(g)
     # boundary[S + 2^v] = boundary[S] + deg(v) - 2 |N(v) & S| for S < 2^v
@@ -226,12 +227,10 @@ def isoperimetric_constant(g: Graph, limit: int = ISO_LIMIT) -> tuple[Fraction, 
         half = 1 << v
         inner = np.bitwise_count(idx[:half] & np.uint32(nb[v] & (half - 1))).astype(np.int32)
         boundary[half : 2 * half] = boundary[:half] + np.int32(degs[v]) - 2 * inner
-
-    valid = (size > 0) & (2 * size <= n)
-    pos = np.flatnonzero(valid)
-    # the ratios are quotients of small integers, so float comparison is exact
-    am = pos[np.argmin(boundary[pos] / size[pos])]
-    frac = Fraction(int(boundary[am]), int(size[am]))
+    # the least boundary per subset size; no boundary reaches n^2
+    least = np.full(n + 1, n * n, np.int32)
+    np.minimum.at(least, np.bitwise_count(idx), boundary)
+    frac = min(Fraction(int(least[s]), s) for s in range(1, n // 2 + 1))
     return frac, float(frac)
 
 

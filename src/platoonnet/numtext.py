@@ -1,12 +1,12 @@
-"""Text of numeric arrays, spelled as Python spells each number, in bulk.
+"""Text of float arrays, spelled as Python spells each float, in bulk.
 
-`number_cells(part, json_style)` turns a 1-D integer or float array into a
+`number_cells(part, json_style)` turns a 1-D float array into a
 `(cells, width)` uint8 matrix whose rows hold the text of each cell, padded
 with 0xFF bytes, which UTF-8 text never contains.  The text is `repr` of
 each entry of `part.tolist()` (json.dumps in JSON, which differs only in
 NaN, Infinity and -Infinity).
 
-Floats get the shortest digits that read back as the same double, and of
+A float gets the shortest digits that read back as the same double, and of
 those the closest to its exact value (ties to an even last digit): the rule
 of Python's `repr`.  The digits come from Schubfach (R. Giulietti, "The
 Schubfach way to render doubles", 2020), computed on whole arrays:
@@ -28,7 +28,7 @@ Text is built eight bytes to a uint64 word, first byte lowest, as strings
 of up to three words: digits are spread into the bytes of a word with
 multiply-and-shift steps, and a point, a prefix, an exponent or a sign goes
 in by shifting words.  The CLI imports this module when it first writes a
-chunk of 256 or more numbers, so runs that write none do not compile it.
+chunk of 256 or more floats, so runs that write none do not compile it.
 """
 
 from __future__ import annotations
@@ -208,9 +208,7 @@ def _ends():
 def _text(strings, length, neg):
     """The text matrix of the strings, a minus sign put before the negative
     ones, each padded with 0xFF bytes to the longest."""
-    if neg.any():
-        if int(length.max()) == 8 * len(strings):
-            strings.append(np.zeros_like(strings[0]))
+    if neg.any():  # a float's text is at most 23 bytes before its sign
         one = neg.astype(np.uint64)
         up = one << 3
         strings = [strings[0] << up | one * ord("-")] + [
@@ -220,25 +218,6 @@ def _text(strings, length, neg):
     strings = [word | ~ends[i][length] for i, word in enumerate(strings)]
     text = np.stack(strings, axis=1).astype("<u8", copy=False).view(np.uint8)
     return text[:, : int(length.max(initial=0))]
-
-
-def _integer_cells(part: np.ndarray):
-    signed = part.dtype.kind == "i"
-    values = np.ascontiguousarray(part, np.int64 if signed else np.uint64)
-    bits = values.view(np.uint64)
-    neg = values < 0 if signed else np.zeros(len(values), bool)
-    magnitude = np.where(neg, 0 - bits, bits)
-    words = -(-len(str(magnitude.max(initial=0))) // 8)
-    length = np.maximum(np.searchsorted(10 ** np.arange(20, dtype=np.uint64), magnitude,
-                                        side="right"), 1)
-    # 8 digits to a word, right-aligned; then the leading zeros dropped
-    digits = [_digits8(magnitude // _U64(10 ** (8 * i)) % _U64(10**8) if i else
-                       magnitude % _U64(10**8)) | _ZEROS for i in reversed(range(words))]
-    drop = ((8 * words - length) << 3).astype(np.int64)
-    strings = [sum(word << np.clip(64 * (i - j) - drop, 0, 64).astype(np.uint64)
-                   >> np.clip(drop - 64 * (i - j), 0, 64).astype(np.uint64)
-                   for i, word in enumerate(digits)) for j in range(words)]
-    return _text(strings, length, neg)
 
 
 def _digit_words(d, k, plain):
@@ -288,7 +267,11 @@ def _laid_out(strings, count, decpt):
     return strings, length
 
 
-def _float_cells(part: np.ndarray, json_style: bool):
+def number_cells(part: np.ndarray, json_style: bool = False) -> np.ndarray:
+    """Text matrix of a 1-D float array, each row the text of a cell padded
+    with 0xFF bytes: `repr` of the entry of `part.tolist()`, or json.dumps
+    if `json_style`; float16 and float32 are widened to float64 first, as
+    tolist() does."""
     with np.errstate(invalid="ignore"):  # a signalling NaN of float16 or float32
         bits = np.ascontiguousarray(part, np.float64).view(np.uint64)
     magnitude = bits & _LOW63
@@ -306,12 +289,3 @@ def _float_cells(part: np.ndarray, json_style: bool):
             length[rows] = len(spelled)
     return _text(strings, length, neg)
 
-
-def number_cells(part: np.ndarray, json_style: bool = False) -> np.ndarray:
-    """Text matrix of a 1-D integer or float array, each row the text of a
-    cell padded with 0xFF bytes: `repr` of the entry of `part.tolist()`, or
-    json.dumps if `json_style`; float16 and float32 are widened to float64
-    first, as tolist() does."""
-    if part.dtype.kind in "iu":
-        return _integer_cells(part)
-    return _float_cells(part, json_style)

@@ -902,7 +902,7 @@ def test_column_writers_match_oracles_on_random_tables(tmp_path, monkeypatch):
 
 def test_column_writers_match_oracles_through_numtext(tmp_path, monkeypatch):
     # the tables above are short, so their numbers are spelled value by
-    # value; here every numeric chunk goes through numtext, however short
+    # value; here every float chunk goes through numtext, however short
     monkeypatch.setattr(cli, "_KERNEL_CELLS", 0)
     floats = np.array(TRICKY_FLOATS + RUN_FLOATS)
     assert_writers_match_oracles(tmp_path, {"f": floats, "i": np.arange(len(floats)) - 9},
@@ -954,10 +954,15 @@ def test_writers_keep_a_nul_inside_a_string_cell(tmp_path):
 
 
 def fresh_python(code: str, cwd=None) -> list[str]:
-    """stderr lines of `code` run in a new interpreter on this checkout's sources."""
+    """stderr lines of `code` run in a new interpreter on this checkout's
+    sources, which writes bytecode into the checkout only if this one does."""
     src = str(Path(__file__).resolve().parent.parent / "src")
+    env = {"PYTHONPATH": src, "PATH": ""}
+    if sys.dont_write_bytecode:
+        env["PYTHONDONTWRITEBYTECODE"] = "1"
+    code = f"import sys\nassert sys.dont_write_bytecode is {sys.dont_write_bytecode}\n{code}"
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True,
-                         env={"PYTHONPATH": src, "PATH": ""}, cwd=cwd)
+                         env=env, cwd=cwd)
     return out.stderr.splitlines()
 
 

@@ -278,13 +278,15 @@ def test_iso_subset_doubling_against_edge_sum():
 
 
 def test_knn_iso_closed_form_against_exhaustive():
-    # the front-half cut is exact on every P(n, k) here, on both sides of
-    # k = floor(n/2), e.g. P(12, 11) -> 6 where k(k+1)/(2 floor(n/2)) gives 11
-    for n in range(4, 13):
-        for k in range(1, n):
-            spec = PlatoonSpec(n, k)
-            exact, _ = isoperimetric_constant(build_knn_platoon(spec))
-            assert knn_closed_forms(spec).iso == exact, (n, k)
+    # the front-half cut is exact on every P(n, k) here: on both sides of
+    # k = floor(n/2) up to n = 14, e.g. P(12, 11) -> 6 where
+    # k(k+1)/(2 floor(n/2)) gives 11, and for k <= floor(n/2) up to ISO_LIMIT
+    cells = [(n, k) for n in range(4, 15) for k in range(1, n)]
+    cells += [(n, k) for n in range(15, ISO_LIMIT + 1) for k in range(1, n // 2 + 1)]
+    for n, k in cells:
+        spec = PlatoonSpec(n, k)
+        exact, _ = isoperimetric_constant(build_knn_platoon(spec))
+        assert knn_closed_forms(spec).iso == exact, (n, k)
     assert knn_closed_forms(PlatoonSpec(12, 11)).iso == 6
 
 
@@ -430,7 +432,7 @@ def test_knn_exact_robustness_past_the_table():
         below |= {(n, k) for k in range(1, n // 2 + 1) if row[k - 1] < k}
     assert below == {cell for cell in ROBUSTNESS_BELOW_K if cell[0] <= ROBUSTNESS_LIMIT}
     # past the default limit only the cells below k are pinned (full rows
-    # for n = 20..22 take ~20 s)
+    # for n = 20..22 take ~10 s)
     for n, k in (cell for cell in ROBUSTNESS_BELOW_K if cell[0] > ROBUSTNESS_LIMIT):
         assert robustness(build_knn_platoon(PlatoonSpec(n, k)), limit=22) == k - 1, (n, k)
 

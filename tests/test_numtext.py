@@ -110,26 +110,6 @@ def test_zeros_nan_payloads_and_infinities():
     assert_spelled_as_python(np.tile(values, 3))
 
 
-def test_integers_over_their_whole_range():
-    info64, unsigned = np.iinfo(np.int64), np.iinfo(np.uint64)
-    rng = np.random.default_rng(3)
-    signed = np.concatenate([[info64.min, info64.min + 1, info64.max, 0, -1, 1],
-                             -(10 ** np.arange(19)), 10 ** np.arange(19) - 1,
-                             rng.integers(info64.min, info64.max, size=5000)]).astype(np.int64)
-    assert_spelled_as_python(signed)
-    assert_spelled_as_python(np.concatenate([
-        np.array([unsigned.max, 0, 2**63, 2**64 - 10], dtype=np.uint64),
-        rng.integers(0, unsigned.max, size=5000, dtype=np.uint64)]))
-    for dtype in (np.int8, np.uint8, np.int16, np.uint16, np.int32, np.uint32):
-        info = np.iinfo(dtype)
-        assert_spelled_as_python(np.arange(info.min, info.max + 1, max(info.max // 3000, 1),
-                                           dtype=np.int64).astype(dtype))
-    for digits in (7, 8, 15, 16):  # the sign needs a word more when the digits fill theirs
-        assert_spelled_as_python(np.array([1 - 10**digits, 3, 10**digits - 1]))
-    assert spelled(np.array([info64.min])) == ["-9223372036854775808"]
-    assert spelled(np.array([unsigned.max], dtype=np.uint64)) == ["18446744073709551615"]
-
-
 def test_narrow_floats_are_spelled_as_tolist_widens_them():
     every_half = np.arange(1 << 16, dtype=np.uint16).view(np.float16)
     rng = np.random.default_rng(5)
@@ -143,7 +123,6 @@ def test_strided_and_empty_parts():
     assert_spelled_as_python(values[:, 1])
     assert_spelled_as_python(values[::-1, 2])
     assert number_cells(np.zeros(0)).shape[0] == 0
-    assert number_cells(np.zeros(0, dtype=np.int64)).shape[0] == 0
 
 
 def test_scales_are_exact():
@@ -165,4 +144,4 @@ def test_scales_are_exact():
 def test_widths_fit_the_longest_text(json_style):
     cells = number_cells(np.array([-1.2345678901234567e-308, 1.0]), json_style)
     assert cells.shape == (2, 24)
-    assert number_cells(np.array([7, 12]), json_style).shape == (2, 2)
+    assert number_cells(np.array([7.0, 12.0]), json_style).shape == (2, 4)

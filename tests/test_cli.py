@@ -918,6 +918,39 @@ def test_column_writers_match_oracles_through_numtext(tmp_path, monkeypatch):
             assert_writers_match_oracles(tmp_path, columns, arrays)
 
 
+def test_integer_columns_over_their_whole_range(tmp_path, monkeypatch):
+    # numtext spells floats only: integer chunks of any width and length are
+    # spelled value by value, never handed to it
+    def floats_only(part, json_style=False):
+        assert part.dtype.kind == "f", part.dtype
+        return number_cells(part, json_style)
+
+    from platoonnet import numtext
+    number_cells = numtext.number_cells
+    monkeypatch.setattr(numtext, "number_cells", floats_only)
+    info64, unsigned = np.iinfo(np.int64), np.iinfo(np.uint64)
+    rng = np.random.default_rng(3)
+    rows = 2 * cli._KERNEL_CELLS
+    signed = np.concatenate([[info64.min, info64.min + 1, info64.max, 0, -1, 1],
+                             -(10 ** np.arange(19)), 10 ** np.arange(19) - 1,
+                             rng.integers(info64.min, info64.max, size=rows)]).astype(np.int64)[:rows]
+    columns = {"i64": signed,
+               "u64": np.concatenate([np.array([unsigned.max, 0, 2**63, 2**64 - 10], np.uint64),
+                                      rng.integers(0, unsigned.max, size=rows, dtype=np.uint64)])[:rows]}
+    for dtype in (np.int8, np.uint8, np.int16, np.uint16, np.int32, np.uint32):
+        info = np.iinfo(dtype)
+        columns[np.dtype(dtype).name] = rng.integers(info.min, info.max, size=rows, endpoint=True,
+                                                     dtype=dtype)
+    columns["f"] = rng.normal(size=rows)  # the float column still goes through numtext
+    assert_writers_match_oracles(tmp_path, columns, columns)
+    assert spelled_by_cli(np.array([info64.min])) == "-9223372036854775808"
+    assert spelled_by_cli(np.array([unsigned.max], dtype=np.uint64)) == "18446744073709551615"
+
+
+def spelled_by_cli(part: np.ndarray) -> str:
+    return bytes(c for c in cli._cells(part, False).ravel() if c != cli._PAD).decode()
+
+
 @pytest.mark.parametrize("chunk_rows", [3, 4096])
 def test_indexed_columns_write_the_gathered_values(tmp_path, monkeypatch, chunk_rows):
     # a column given as (values, index) stands for values[index]: its values

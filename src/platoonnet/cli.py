@@ -274,8 +274,8 @@ def _invalid(what: str, path: tuple, message: str) -> ValidationFailure:
     return ValidationFailure(f"{what}: invalid at {pointer}: {message}")
 
 
-def _validate_schema(data, schema, what: str) -> None:
-    error = _first_error(data, schema)
+def _validate_schema(data, schema, what: str, path: tuple = ()) -> None:
+    error = _first_error(data, schema, path)
     if error is not None:
         raise _invalid(what, *error)
 
@@ -642,15 +642,14 @@ def load_estimation_scenario(path: str, seed_override: int | None = None):
         raise ValidationFailure("scenario: the observer cannot be a faulty vehicle")
     phi: dict[tuple[int, int], float] = {}
     for idx, (veh, step, value) in enumerate(data["phi"]):
+        key = (int(veh), int(step))
         if veh not in faulty:
-            raise ValidationFailure(
-                f"scenario: invalid at /phi/{idx}: vehicle {veh} is not in the faulty set"
-            )
+            raise _invalid("scenario", ("phi", idx), f"vehicle {veh} is not in the faulty set")
         if not 0 <= step < horizon:
-            raise ValidationFailure(
-                f"scenario: invalid at /phi/{idx}: step {step} outside 0..{horizon - 1}"
-            )
-        phi[(int(veh), int(step))] = float(value)
+            raise _invalid("scenario", ("phi", idx), f"step {step} outside 0..{horizon - 1}")
+        if key in phi:
+            raise _invalid("scenario", ("phi", idx), f"vehicle {veh}, step {step} is given twice")
+        phi[key] = float(value)
     scenario = FaultScenario(faulty=faulty, phi=phi, horizon=horizon)
     return g, seed, scenario, observer, int(data["f"])
 
@@ -696,9 +695,7 @@ def _build_strategy(kind: str, params: dict, vehicle: int, scenario_seed: int, p
     consensus class named after the strategy (seeded-random: SeededRandom)
     called with the params, checked against STRATEGY_SCHEMAS, as keyword
     arguments.  A ValueError of the class is reported at `path`."""
-    error = _first_error(params, STRATEGY_SCHEMAS[kind], path)
-    if error is not None:
-        raise _invalid("scenario", *error)
+    _validate_schema(params, STRATEGY_SCHEMAS[kind], "scenario", path)
     strategy = globals()[kind.title().replace("-", "")]
     if strategy is SeededRandom:  # per-adversary stream derived from the scenario seed
         seed = np.random.SeedSequence((scenario_seed, 2, vehicle)).generate_state(1)[0]
@@ -729,6 +726,9 @@ def cmd_consensus(args) -> int:
     config = {"scenario": args.scenario, "seed": seed}
     x0 = scenario_x0(seed, g.n, 0.0, 10.0)
     trace = run_wmsr(g, x0, adversaries, f=f, T=T, tol=tol)
+    if not trace.f_local:
+        print(f"warning: adversary set {list(trace.adversaries)} is not {f}-local; "
+              "resilient-consensus guarantees do not apply", file=sys.stderr)
     is_adversary = np.isin(np.arange(g.n), trace.adversaries)
     step, vehicle = np.indices(trace.values.shape).reshape(2, -1)
     columns = [(np.arange(T + 1), step), (np.arange(g.n), vehicle), trace.values.ravel(),
@@ -737,7 +737,7 @@ def cmd_consensus(args) -> int:
         "converged_at": trace.converged_at,
         "final_spread": trace.spread(T),
         "safety_violations": len(trace.safety_violations),
-        "f_local": is_f_local(g, trace.adversaries, f),
+        "f_local": trace.f_local,
     }
     table = _table(args.format, ["step", "vehicle", "value", "is_adversary"], columns)
     return _emit(args, config, seed, table, results)

@@ -23,6 +23,11 @@ class ModelMismatchError(RuntimeError):
     """No candidate fault set is consistent with the measurements."""
 
 
+def _support(g: Graph) -> np.ndarray:
+    """Boolean n x n mask of the diagonal plus the graph's edges."""
+    return (laplacian(g) != 0) | np.eye(g.n, dtype=bool)
+
+
 @dataclass(frozen=True)
 class WeightMatrix:
     """n x n iteration matrix supported on the diagonal plus graph edges."""
@@ -35,9 +40,7 @@ class WeightMatrix:
         n = self.graph.n
         if w.shape != (n, n):
             raise ValueError(f"weight matrix must be {n}x{n}, got {w.shape}")
-        # the Laplacian is nonzero on every edge; the diagonal is support too
-        off_support = (laplacian(self.graph) == 0) & ~np.eye(n, dtype=bool)
-        if np.any(off_support & (w != 0.0)):
+        if np.any(~_support(self.graph) & (w != 0.0)):
             raise ValueError("weight matrix has entries off the graph support")
         object.__setattr__(self, "matrix", w)
 
@@ -48,11 +51,9 @@ def random_weights(g: Graph, seed: int) -> WeightMatrix:
     Deterministic for a given seed: row i fills positions sorted({i} ∪ N(i))
     in increasing column order from numpy's default_rng(seed).
     """
-    rng = np.random.default_rng(seed)
+    rows, cols = np.nonzero(_support(g))
     w = np.zeros((g.n, g.n))
-    for i in range(g.n):
-        for j in sorted(set(neighbors(g, i)) | {i}):
-            w[i, j] = rng.uniform(0.2, 1.0)
+    w[rows, cols] = np.random.default_rng(seed).uniform(0.2, 1.0, rows.size)
     return WeightMatrix(g, w)
 
 

@@ -1,5 +1,4 @@
 import math
-import warnings
 from pathlib import Path
 
 import numpy as np
@@ -125,12 +124,13 @@ def test_ramp_adversary_tolerated_on_3_robust_platoon():
     assert final.max() <= normal_x0.max() + 1e-9
 
 
-def test_overwhelming_adversaries_warn_and_block_agreement():
+def test_overwhelming_adversaries_are_not_f_local_and_block_agreement():
     g = build_knn_platoon(PlatoonSpec(10, 2))
     x0 = np.random.default_rng([11, 1]).uniform(0, 10, 10)
     adv = [Adversary(4, Constant(0.0)), Adversary(5, Constant(10.0))]
-    with pytest.warns(UserWarning, match="not 1-local"):
-        trace = run_wmsr(g, x0, adv, f=1, T=500)
+    trace = run_wmsr(g, x0, adv, f=1, T=500)
+    assert trace.f_local is False
+    assert run_wmsr(g, x0, adv, f=2, T=500).f_local is True
     assert trace.converged_at is None
     assert trace.spread(500) > 0.1
 
@@ -140,7 +140,7 @@ def test_run_wmsr_validation():
     x0 = np.zeros(5)
     with pytest.raises(ValueError, match="duplicate"):
         run_wmsr(g, x0, [Adversary(1, Constant(0)), Adversary(1, Constant(1))], f=1)
-    with pytest.raises(ValueError, match="out of range"):
+    with pytest.raises(ValueError, match="^vertex 7 out of range for n=5$"):
         run_wmsr(g, x0, [Adversary(7, Constant(0))], f=1)
     with pytest.raises(ValueError, match="normal vehicle"):
         run_wmsr(g, x0, [Adversary(v, Constant(0)) for v in range(5)], f=1)
@@ -230,9 +230,8 @@ def _vectorised_runs():
 
 def test_run_wmsr_is_bitwise_equal_to_the_scalar_reference():
     for g, x0, adversaries, f, T in _vectorised_runs():
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            trace = run_wmsr(g, x0, adversaries, f=f, T=T)
+        trace = run_wmsr(g, x0, adversaries, f=f, T=T)
+        assert trace.f_local == is_f_local(g, [a.vehicle for a in adversaries], f)
         values, violations, converged_at = wmsr_loop(g, x0, adversaries, f, T)
         assert trace.values.tobytes() == values.tobytes()
         assert list(trace.safety_violations) == violations

@@ -17,7 +17,7 @@ from platoonnet.estimation import (
     recover_initial_state,
     simulate_faulty,
 )
-from platoonnet.graph import PlatoonSpec, build_knn_platoon
+from platoonnet.graph import Graph, PlatoonSpec, build_knn_platoon, neighbors
 
 
 def make_setup(n, k, seed):
@@ -44,6 +44,22 @@ def test_random_weights_support_and_determinism():
     assert np.array_equal(W.matrix, again.matrix)
     other = random_weights(g, 43)
     assert not np.array_equal(W.matrix, other.matrix)
+
+
+def test_random_weights_draw_the_support_row_major():
+    # the documented stream: one scalar draw per support entry, row by row,
+    # columns sorted({i} | N(i)); isolated vehicles and empty graphs included
+    rng = np.random.default_rng(20261019)
+    for _ in range(40):
+        n = int(rng.integers(1, 16))
+        edges = [(i, j) for i in range(n) for j in range(i + 1, n) if rng.random() < rng.random()]
+        g, seed = Graph.from_edges(n, edges), int(rng.integers(1 << 32))
+        draw = np.random.default_rng(seed)
+        want = np.zeros((n, n))
+        for i in range(n):
+            for j in sorted(set(neighbors(g, i)) | {i}):
+                want[i, j] = draw.uniform(0.2, 1.0)
+        assert random_weights(g, seed).matrix.tobytes() == want.tobytes()
 
 
 def test_weight_matrix_rejects_off_support_entries():

@@ -311,6 +311,25 @@ def test_sampling_does_not_change_the_result():
         assert np.max(np.abs(a - b)) <= 1e-9
 
 
+def test_last_partial_sample_lands_on_the_grid_end():
+    # round(T/h) = 1005 steps: 100 full strides of 10, then a last sample 5 steps on
+    sys_ = make_system(8, 2)
+    basis = np.zeros(8)
+    basis[2] = 1.0
+    disturbance = Disturbance(constant=0.5 * basis, sine=basis, omega=1.3)
+    x0 = _disturbed_start(sys_)
+    got = simulate_formation(sys_, disturbance=disturbance, T=1.005, h=1e-3, x0=x0,
+                             record_every=10)
+    assert len(got.t) == 102
+    assert got.t[-1] == 1005 * 1e-3
+    assert got.t[-2] == 1000 * 1e-3
+    want = rk4_formation(sys_, disturbance=disturbance, T=1.005, h=5e-4, x0=x0, record_every=20)
+    assert np.max(np.abs(got.t - want.t)) < 1e-12
+    for a, b in [(got.positions, want.positions), (got.velocities, want.velocities),
+                 (got.span_errors, want.span_errors)]:
+        assert np.max(np.abs(a - b)) <= 1e-8
+
+
 def test_recording_stride():
     sys_ = make_system(5, 1)
     trace = simulate_formation(sys_, T=1.0, h=1e-3, record_every=200)

@@ -315,12 +315,14 @@ def _resolve_graph(spec, base_dir: Path) -> Graph:
     return Graph.from_edges(int(spec["n"]), [tuple(map(int, e)) for e in spec["edges"]])
 
 
-def _vehicle(value, n: int, what: str, path: tuple) -> int:
+def _vehicle(value, n: int, what: str, path: tuple, earlier=()) -> int:
     """The vehicle id at `path` of a checked document: an integral number
-    below n."""
+    below n, and not one of the `earlier` ids of the same list."""
     vehicle = int(value)
     if not 0 <= vehicle < n:
         raise _invalid(what, path, f"vehicle {vehicle} out of range for n={n}")
+    if vehicle in earlier:
+        raise _invalid(what, path, f"vehicle {vehicle} is given twice")
     return vehicle
 
 
@@ -635,7 +637,8 @@ def load_estimation_scenario(path: str, seed_override: int | None = None):
     seed = _scenario_seed(data, seed_override)
     horizon = int(data.get("horizon", g.n))
     faulty = tuple(sorted(
-        _vehicle(v, g.n, "scenario", ("faulty", i)) for i, v in enumerate(data["faulty"])
+        _vehicle(v, g.n, "scenario", ("faulty", i), data["faulty"][:i])
+        for i, v in enumerate(data["faulty"])
     ))
     observer = _vehicle(data["observer"], g.n, "scenario", ("observer",))
     if observer in faulty:
@@ -713,7 +716,8 @@ def load_consensus_scenario(path: str, seed_override: int | None = None):
     seed = _scenario_seed(data, seed_override)
     adversaries = []
     for i, entry in enumerate(data["adversaries"]):
-        vehicle = _vehicle(entry["vehicle"], g.n, "scenario", ("adversaries", i, "vehicle"))
+        vehicle = _vehicle(entry["vehicle"], g.n, "scenario", ("adversaries", i, "vehicle"),
+                           [a.vehicle for a in adversaries])
         strategy = _build_strategy(entry["strategy"], entry.get("params", {}), vehicle, seed,
                                    ("adversaries", i, "params"))
         adversaries.append(Adversary(vehicle, strategy))
@@ -759,37 +763,30 @@ def load_formation_config(path: str):
 
 
 def _build_disturbance(system, cfg: dict):
-    kind = cfg["kind"]
-    if kind == "none":
+    """The disturbance of a formation config and its resolved form for the
+    manifest.  A "peak" frequency that resolves to zero (static-gain branch)
+    is a step of amplitude cos(phase); a numeric 0 follows the formula."""
+    if cfg["kind"] == "none":
         return None, {"kind": "none"}
-    n = system.graph.n
-    vehicle = _vehicle(cfg.get("vehicle", 0), n, "config", ("disturbance", "vehicle"))
+    vehicle = _vehicle(cfg.get("vehicle", 0), system.graph.n, "config", ("disturbance", "vehicle"))
     amplitude = float(cfg.get("amplitude", 1.0))
-    basis = np.zeros(n)
-    basis[vehicle] = amplitude
-    if kind == "step":
-        resolved = {"kind": "step", "vehicle": vehicle, "amplitude": amplitude}
+    resolved = {"kind": cfg["kind"], "vehicle": vehicle, "amplitude": amplitude}
+    if cfg["kind"] == "sinusoid":
+        omega = cfg.get("omega", "peak")
+        peak = omega == "peak"
+        omega = modal_peak_frequency(system.lambda2, system.kp, system.ku) if peak else float(omega)
+        phase = float(cfg.get("phase", 0.0))
+        if peak and omega == 0.0:
+            resolved.update(kind="step", amplitude=amplitude * math.cos(phase))
+        else:
+            resolved.update(omega=omega, phase=phase)
+    basis = np.zeros(system.graph.n)
+    basis[vehicle] = resolved["amplitude"]
+    if resolved["kind"] == "step":
         return Disturbance(constant=basis), resolved
-    omega = cfg.get("omega", "peak")
-    phase = float(cfg.get("phase", 0.0))
-    if omega == "peak":
-        omega = modal_peak_frequency(system.lambda2, system.kp, system.ku)
-        if omega == 0.0:
-            # static-gain branch: the peak sits at zero frequency and resolves
-            # to a step of amplitude cos(phase); a numeric 0 follows the formula
-            return Disturbance(constant=basis * math.cos(phase)), {
-                "kind": "step", "vehicle": vehicle, "amplitude": amplitude * math.cos(phase),
-            }
-    omega = float(omega)
-    resolved = {
-        "kind": "sinusoid", "vehicle": vehicle, "amplitude": amplitude,
-        "omega": omega, "phase": phase,
-    }
     # amplitude sin(omega t + phase), split into its sin and cos parts
-    disturbance = Disturbance(
-        sine=basis * math.cos(phase), cosine=basis * math.sin(phase), omega=omega
-    )
-    return disturbance, resolved
+    return Disturbance(sine=basis * math.cos(phase), cosine=basis * math.sin(phase),
+                       omega=omega), resolved
 
 
 def cmd_formation(args) -> int:

@@ -71,13 +71,11 @@ class Adversary:
 
 def is_f_local(g: Graph, adversary_set, f: int) -> bool:
     """True iff every vehicle outside the set has <= f neighbors inside it."""
-    s = set(int(v) for v in adversary_set)
-    for i in range(g.n):
-        if i in s:
-            continue
-        if sum(1 for j in neighbors(g, i) if j in s) > f:
-            return False
-    return True
+    inside = 0
+    for v in adversary_set:
+        inside |= 1 << _vertex(g, int(v))
+    return all((mask & inside).bit_count() <= f
+               for i, mask in enumerate(g.neighbor_bitmasks) if not inside >> i & 1)
 
 
 @dataclass(frozen=True)
@@ -85,8 +83,6 @@ class ConsensusTrace:
     values: np.ndarray  # (T+1, n)
     normal: tuple[int, ...]
     adversaries: tuple[int, ...]
-    f: int
-    tol: float
     converged_at: int | None
     safety_violations: tuple[tuple[int, int], ...]  # (step, vehicle)
     f_local: bool  # is_f_local(g, adversaries, f): no normal vehicle sees more than f
@@ -190,8 +186,6 @@ def run_wmsr(
         values=values,
         normal=normal,
         adversaries=tuple(sorted(adv_ids)),
-        f=f,
-        tol=tol,
         converged_at=int(converged[0]) if converged.size else None,
         safety_violations=tuple(zip((step + 1).tolist(), vehicle.tolist())),
         f_local=is_f_local(g, adv_ids, f),

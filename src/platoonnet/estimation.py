@@ -70,7 +70,10 @@ class FaultScenario:
     horizon: int
 
     def __post_init__(self):
-        object.__setattr__(self, "faulty", tuple(sorted(set(int(v) for v in self.faulty))))
+        faulty = tuple(sorted(int(v) for v in self.faulty))
+        if len(set(faulty)) != len(faulty):
+            raise ValueError("duplicate faulty vehicles")
+        object.__setattr__(self, "faulty", faulty)
         if self.horizon < 1:
             raise ValueError("horizon must be >= 1")
         for (v, k) in self.phi:
@@ -125,9 +128,7 @@ def packet_drop_scenario(
 
 def measured_rows(g: Graph, observer: int) -> list[int]:
     """Vehicles whose states observer i sees: sorted N(i) ∪ {i}."""
-    if not 0 <= observer < g.n:
-        raise ValueError(f"observer {observer} out of range for n={g.n}")
-    return sorted(set(neighbors(g, observer)) | {observer})
+    return sorted(neighbors(g, observer) + [observer])
 
 
 @dataclass(frozen=True)
@@ -149,9 +150,9 @@ def observe(g: Graph, states: np.ndarray, observer: int, length: int | None = No
     return MeasurementTrace(observer=observer, rows=tuple(rows), y=states[:L, rows].copy())
 
 
-def _stacked_maps(W: WeightMatrix, observer: int, length: int) -> tuple[np.ndarray, np.ndarray]:
+def _stacked_maps(W: WeightMatrix, rows, length: int) -> tuple[np.ndarray, np.ndarray]:
     """The observability matrix O (m x n) and the fault map T (m x (L-1) x n)
-    of one observer, m = L * |rows|.
+    of an observer who measures the states `rows`, m = L * |rows|.
 
     Row block k of O is C W^k.  T[:, j, v] is the response of the stacked
     measurements to a unit fault of vehicle v at step j: C W^(k-1-j) e_v in
@@ -160,11 +161,10 @@ def _stacked_maps(W: WeightMatrix, observer: int, length: int) -> tuple[np.ndarr
     if length < 1:
         raise ValueError("length must be >= 1")
     n = W.graph.n
-    rows = measured_rows(W.graph, observer)
     rp = len(rows)
     # C W^p for p = 0..length-1, computed by repeated multiplication
     cw = np.zeros((length, rp, n))
-    cw[0] = np.eye(n)[rows]
+    cw[0] = np.eye(n)[list(rows)]
     for p in range(1, length):
         cw[p] = cw[p - 1] @ W.matrix
     forced = np.zeros((length, rp, length - 1, n))
@@ -184,7 +184,7 @@ def observation_model(
     columns.
     """
     faults = sorted(set(int(v) for v in fault_set))
-    obs, forced = _stacked_maps(W, observer, length)
+    obs, forced = _stacked_maps(W, measured_rows(W.graph, observer), length)
     return obs, forced[:, :, faults].reshape(obs.shape[0], (length - 1) * len(faults))
 
 
@@ -243,7 +243,7 @@ def recover_initial_state(trace: MeasurementTrace, W: WeightMatrix, f: int) -> R
     y = np.asarray(trace.y, dtype=np.float64).reshape(-1)
     m = y.size
     tol = 1e-8 * (1.0 + float(np.max(np.abs(y))))
-    obs, forced = _stacked_maps(W, trace.observer, L)
+    obs, forced = _stacked_maps(W, trace.rows, L)
 
     u, s, vt = np.linalg.svd(obs)
     rank = int(np.count_nonzero(s > RANK_RCOND * s[0]))

@@ -36,6 +36,16 @@ def _check_gains(kp: float, ku: float) -> None:
         raise ValueError("gains kp and ku must be finite and positive")
 
 
+def _state_matrix(lap: np.ndarray, kp: float, ku: float) -> np.ndarray:
+    """[[0, I], [-kp lap, -ku lap]]: the closed loop on positions and speeds."""
+    n = len(lap)
+    a = np.zeros((2 * n, 2 * n))
+    a[:n, n:] = np.eye(n)
+    a[n:, :n] = -kp * lap
+    a[n:, n:] = -ku * lap
+    return a
+
+
 @dataclass(frozen=True)
 class FormationSystem:
     graph: Graph
@@ -52,12 +62,7 @@ class FormationSystem:
 
     @cached_property
     def a_mat(self) -> np.ndarray:
-        n = self.graph.n
-        a = np.zeros((2 * n, 2 * n))
-        a[:n, n:] = np.eye(n)
-        a[n:, :n] = -self.kp * self.lap
-        a[n:, n:] = -self.ku * self.lap
-        return a
+        return _state_matrix(self.lap, self.kp, self.ku)
 
     @cached_property
     def c_mat(self) -> np.ndarray:
@@ -181,11 +186,7 @@ def hinf_sweep(system: FormationSystem, output: np.ndarray | None = None) -> Swe
     c = np.hstack([out[:, :n] @ q, out[:, n:] @ q])
     if not c.any():  # no edges, or an output that sees nothing
         return SweepResult(value=0.0, frequency=0.0, grid_points=0)
-    lap_r = q.T @ system.lap @ q
-    a = np.zeros((2 * r, 2 * r))
-    a[:r, r:] = np.eye(r)
-    a[r:, :r] = -system.kp * lap_r
-    a[r:, r:] = -system.ku * lap_r
+    a = _state_matrix(q.T @ system.lap @ q, system.kp, system.ku)
     b = np.zeros((2 * r, n))
     b[r:] = q.T
 

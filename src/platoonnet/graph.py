@@ -89,19 +89,10 @@ class Graph:
         return len(self.edges)
 
     @cached_property
-    def _neighbor_lists(self) -> tuple[tuple[int, ...], ...]:
-        nbrs: list[list[int]] = [[] for _ in range(self.n)]
-        for i, j in self.edges:
-            nbrs[i].append(j)
-            nbrs[j].append(i)
-        return tuple(tuple(sorted(v)) for v in nbrs)
-
-    @cached_property
     def neighbor_bitmasks(self) -> tuple[int, ...]:
-        """Per-vertex neighborhoods as bitmasks (bit j set iff j adjacent).
-
-        Used by the exhaustive subset searches; cheap to keep on the graph.
-        """
+        """Per-vertex neighborhoods as bitmasks (bit j set iff j adjacent):
+        the graph's one adjacency view, from which degrees and neighbor
+        lists are read."""
         masks = [0] * self.n
         for i, j in self.edges:
             masks[i] |= 1 << j
@@ -153,7 +144,7 @@ def lambda2_bounds(spec: PlatoonSpec) -> tuple[float, float]:
 
 def degrees(g: Graph) -> np.ndarray:
     """Vertex degrees (int64)."""
-    return np.array([len(nbrs) for nbrs in g._neighbor_lists], dtype=np.int64)
+    return np.array([mask.bit_count() for mask in g.neighbor_bitmasks], dtype=np.int64)
 
 
 def laplacian(g: Graph) -> np.ndarray:
@@ -191,8 +182,14 @@ def incidence(g: Graph) -> np.ndarray:
 
 
 def neighbors(g: Graph, i: int) -> list[int]:
-    """Sorted neighbor list of vertex i."""
-    return list(g._neighbor_lists[_vertex(g, i)])
+    """Sorted neighbor list of vertex i: the set bits of its mask, lowest first."""
+    mask = g.neighbor_bitmasks[_vertex(g, i)]
+    nbrs = []
+    while mask:
+        low = mask & -mask
+        nbrs.append(low.bit_length() - 1)
+        mask ^= low
+    return nbrs
 
 
 def components(g: Graph) -> list[list[int]]:
@@ -228,8 +225,10 @@ def save_graph(g: Graph, path) -> None:
 
 
 def _locate_line(text: str, a: int, b: int, occurrence: int = 1) -> int | None:
-    """Best-effort line number of the `occurrence`-th appearance of [a, b]."""
-    pat = re.compile(r"\[\s*%d\s*,\s*%d\s*\]" % (a, b))
+    """Best-effort line number of the `occurrence`-th appearance of [a, b].
+    JSON spells the id 0 as `0` or `-0`."""
+    ids = ("-?0" if v == 0 else str(v) for v in (a, b))
+    pat = re.compile(r"\[\s*%s\s*,\s*%s\s*\]" % tuple(ids))
     for count, match in enumerate(pat.finditer(text), start=1):
         if count == occurrence:
             return text.count("\n", 0, match.start()) + 1

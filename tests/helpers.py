@@ -30,7 +30,7 @@ from platoonnet.formation import (
     hinf_closed_form,
     modal_peak_frequency,
 )
-from platoonnet.graph import Graph, degrees, neighbors
+from platoonnet.graph import Graph, degrees
 
 
 def random_connected_graph(rng, n_min=4, n_max=10, avoid_complete=True) -> Graph:
@@ -68,6 +68,29 @@ def random_graph(rng, n_min=2, n_max=10) -> Graph:
                                 if rng.uniform() < p])
 
 
+def neighbor_lists(g: Graph) -> list[list[int]]:
+    """Sorted neighbor list of every vertex, gathered from the edge list: the
+    reference for the bitmask-walking graph.neighbors and graph.degrees."""
+    nbrs: list[list[int]] = [[] for _ in range(g.n)]
+    for i, j in g.edges:
+        nbrs[i].append(j)
+        nbrs[j].append(i)
+    return [sorted(v) for v in nbrs]
+
+
+def set_is_f_local(g: Graph, adversary_set, f: int) -> bool:
+    """Reference for consensus.is_f_local: count each outside vehicle's
+    neighbors in the set, one membership test at a time."""
+    s = set(int(v) for v in adversary_set)
+    nbrs = neighbor_lists(g)
+    for i in range(g.n):
+        if i in s:
+            continue
+        if sum(1 for j in nbrs[i] if j in s) > f:
+            return False
+    return True
+
+
 def missing_edges(g: Graph) -> list[tuple[int, int]]:
     present = set(g.edges)
     return [
@@ -93,7 +116,7 @@ def brute_force_robustness(g: Graph) -> int:
     Only usable for small n (3^n pairs); the production version must agree.
     """
     n = g.n
-    neigh = [set(neighbors(g, v)) for v in range(n)]
+    neigh = [set(v) for v in neighbor_lists(g)]
 
     def max_reach(subset: frozenset) -> int:
         return max(len(neigh[v] - subset) for v in subset)
@@ -166,7 +189,7 @@ def brute_force_vertex_connectivity(g: Graph) -> int:
     from itertools import combinations
 
     n = g.n
-    neigh = [neighbors(g, v) for v in range(n)]
+    neigh = neighbor_lists(g)
 
     def connected_after(removed: set) -> bool:
         remaining = [v for v in range(n) if v not in removed]
@@ -359,6 +382,7 @@ def wmsr_loop(g: Graph, x0, adversaries, f: int, T: int):
     n = g.n
     strategy = {a.vehicle: a.strategy for a in adversaries}
     normal = [v for v in range(n) if v not in strategy]
+    nbrs = neighbor_lists(g)
     values = np.zeros((T + 1, n))
     values[0] = x0
     for v, strat in strategy.items():
@@ -377,7 +401,7 @@ def wmsr_loop(g: Graph, x0, adversaries, f: int, T: int):
         for v, strat in strategy.items():
             nxt[v] = strat.value(k + 1)
         for i in normal:
-            nxt[i] = wmsr_update(cur[i], [(j, cur[j]) for j in neighbors(g, i)], f)
+            nxt[i] = wmsr_update(cur[i], [(j, cur[j]) for j in nbrs[i]], f)
             if not (lo - slack <= nxt[i] <= hi + slack):
                 violations.append((k + 1, i))
         values[k + 1] = nxt

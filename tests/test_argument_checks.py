@@ -1,0 +1,37 @@
+"""Argument checks of the library entry points that the CLI never trips,
+because it validates its documents first."""
+
+import numpy as np
+import pytest
+
+from platoonnet import estimation
+from platoonnet.consensus import run_wmsr
+from platoonnet.estimation import (
+    FaultScenario,
+    observe,
+    random_weights,
+    recover_initial_state,
+    simulate_faulty,
+)
+from platoonnet.formation import Disturbance, build_formation, simulate_formation
+from platoonnet.graph import PlatoonSpec, build_knn_platoon
+
+G = build_knn_platoon(PlatoonSpec(5, 2))
+W = random_weights(G, 3)
+STATES = simulate_faulty(W, np.arange(5.0), FaultScenario(faulty=(), phi={}, horizon=4))
+SYSTEM = build_formation(G, 5.0, 10.0)
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: run_wmsr(G, np.zeros(5), [], f=-1), r"^f must be >= 0$"),
+    (lambda: simulate_faulty(W, np.zeros(4), FaultScenario(faulty=(), phi={}, horizon=2)),
+     r"^x0 must have shape \(5,\)$"),
+    (lambda: estimation._stacked_maps(W, (0, 1, 2), 0), r"^length must be >= 1$"),
+    (lambda: recover_initial_state(observe(G, STATES, 0), W, -1), r"^f must be >= 0$"),
+    (lambda: simulate_formation(SYSTEM, T=1.0, record_every=0), r"^record_every must be >= 1$"),
+    (lambda: simulate_formation(SYSTEM, Disturbance(cosine=np.ones(4)), T=1.0),
+     r"^disturbance parts must have shape \(5,\)$"),
+], ids=["wmsr-f", "faulty-x0", "stacked-length", "recover-f", "record-every", "disturbance"])
+def test_library_argument_checks(call, message):
+    with pytest.raises(ValueError, match=message):
+        call()

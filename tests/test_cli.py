@@ -408,6 +408,26 @@ def test_vehicle_out_of_range_names_its_pointer(tmp_path, capsys, command, doc, 
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("command, doc, pointer", [
+    ("estimate", {"graph": {"platoon": [8, 3]}, "seed": 1, "faulty": [3, 3], "phi": [],
+                  "observer": 0, "f": 1}, "/faulty/1"),
+    # 3.0 is the integer 3 to the schema
+    ("estimate", {"graph": {"platoon": [8, 3]}, "seed": 1, "faulty": [5, 3, 3.0], "phi": [],
+                  "observer": 0, "f": 2}, "/faulty/2"),
+    ("consensus", {"graph": {"platoon": [8, 3]}, "seed": 1, "f": 1, "adversaries": [
+        {"vehicle": 3, "strategy": "constant", "params": {"value": 1.0}},
+        {"vehicle": 3, "strategy": "ramp", "params": {"start": 0.0, "slope": 1.0}}]},
+     "/adversaries/1/vehicle"),
+])
+def test_repeated_vehicle_names_its_pointer(tmp_path, capsys, command, doc, pointer):
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(doc))
+    assert main([command, "--scenario", str(path), "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert err == f"error: scenario: invalid at {pointer}: vehicle 3 is given twice\n"
+    assert not (tmp_path / "out").exists()
+
+
 def test_seeded_random_low_above_high_names_its_pointer(tmp_path, capsys):
     # refused while the scenario is read: before run_wmsr, its locality
     # warning and any file
@@ -1132,12 +1152,15 @@ def test_cli_calls_a_name_replaced_before_its_subcommand_runs(tmp_path):
 
 
 def test_package_exports_resolve_to_their_modules():
+    # dir() lists every export without importing a submodule
     assert fresh_python(
         "import sys, platoonnet\n"
+        "names = dir(platoonnet)\n"
+        "print(set(platoonnet.__all__) <= set(names), file=sys.stderr)\n"
         "print(sorted(m for m in sys.modules if m.startswith('platoonnet.')), file=sys.stderr)\n"
         "platoonnet.run_wmsr\n"
         "print(sorted(m for m in sys.modules if m.startswith('platoonnet.')), file=sys.stderr)"
-    ) == ["[]", "['platoonnet.consensus', 'platoonnet.graph']"]
+    ) == ["True", "[]", "['platoonnet.consensus', 'platoonnet.graph']"]
     for name in platoonnet.__all__:
         obj = getattr(platoonnet, name)
         assert obj.__module__.startswith("platoonnet.")

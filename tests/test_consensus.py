@@ -16,7 +16,7 @@ from platoonnet.consensus import (
 from platoonnet.cli import load_consensus_scenario, scenario_x0
 from platoonnet.graph import Graph, PlatoonSpec, build_knn_platoon
 
-from helpers import wmsr_loop, wmsr_update
+from helpers import random_graph, set_is_f_local, wmsr_loop, wmsr_update
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 
@@ -59,6 +59,23 @@ def test_is_f_local():
     assert not is_f_local(g, [4, 5], 1)  # vehicle 3 sees both
     assert is_f_local(g, [4, 5], 2)
     assert is_f_local(g, [], 0)
+
+
+def test_is_f_local_matches_the_set_count():
+    # adversary sets from empty to all vehicles but one, on random graphs
+    # connected or not, given as a list and as a numpy array
+    rng = np.random.default_rng(7)
+    graphs = [random_graph(rng, 1, 12) for _ in range(60)] + [random_graph(rng, 70, 90)]
+    for g in graphs:
+        for size in range(g.n):
+            adversaries = rng.choice(g.n, size, replace=False)
+            for f in range(4):
+                expected = set_is_f_local(g, adversaries, f)
+                assert is_f_local(g, adversaries.tolist(), f) == expected
+                assert is_f_local(g, adversaries, f) == expected
+        for bad in (-1, g.n):
+            with pytest.raises(ValueError, match=f"^vertex {bad} out of range for n={g.n}$"):
+                is_f_local(g, [0, bad], 1)
 
 
 # ---------------------------------------------------------------- strategies

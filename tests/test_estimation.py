@@ -112,6 +112,8 @@ def test_fault_scenario_validation():
         FaultScenario(faulty=(1,), phi={(1, 3): 1.0}, horizon=3)
     with pytest.raises(ValueError, match="horizon"):
         FaultScenario(faulty=(), phi={}, horizon=0)
+    with pytest.raises(ValueError, match="^duplicate faulty vehicles$"):
+        FaultScenario(faulty=(3, 1, 3), phi={(3, 0): 1.0}, horizon=2)
 
 
 def test_simulation_rejects_a_faulty_id_outside_the_graph():
@@ -130,7 +132,7 @@ def test_measured_rows_are_closed_neighborhood():
     g = build_knn_platoon(PlatoonSpec(7, 2))
     assert measured_rows(g, 0) == [0, 1, 2]
     assert measured_rows(g, 3) == [1, 2, 3, 4, 5]
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^vertex 9 out of range for n=7$"):
         measured_rows(g, 9)
 
 

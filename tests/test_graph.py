@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 import platoonnet.graph as graph_module
-from helpers import random_graph
+from helpers import neighbor_lists, random_graph
 from platoonnet.formation import build_formation
 from platoonnet.graph import (
     Graph,
@@ -111,6 +111,21 @@ def test_neighbors_sorted_and_bounds():
         neighbors(g, -1)
 
 
+def test_bitmask_neighbors_and_degrees_match_the_edge_lists():
+    # random graphs, connected or not, plus isolated vertices and masks of
+    # many machine words
+    rng = np.random.default_rng(19)
+    graphs = [random_graph(rng, 1, 12) for _ in range(150)] + [random_graph(rng, 100, 140)]
+    graphs += [Graph(1, ()), Graph(6, ((1, 4),)), Graph(70, ((0, 69), (3, 64)))]
+    for g in graphs:
+        lists = neighbor_lists(g)
+        assert [neighbors(g, i) for i in range(g.n)] == lists
+        assert degrees(g).tolist() == [len(v) for v in lists]
+        for bad in (-1, g.n, g.n + 64):
+            with pytest.raises(ValueError, match=f"^vertex {bad} out of range for n={g.n}$"):
+                neighbors(g, bad)
+
+
 @pytest.mark.parametrize("bad", [-1, 5, 9])
 def test_has_edge_checks_its_vertex_ids(bad):
     # -1 must not wrap to the last vehicle, and an id past n is no vertex
@@ -214,6 +229,13 @@ def test_load_reports_offending_edge_line(tmp_path):
     path = tmp_path / "g.json"
     path.write_text('{\n  "n": 4,\n  "edges": [\n    [0, 1],\n    [2, 2]\n  ]\n}\n')
     with pytest.raises(GraphFormatError, match=r"self-loop \[2, 2\] \(line 5\)"):
+        load_graph(path)
+    # JSON's -0 is the id 0, and an occurrence counts under either spelling
+    path.write_text('{\n  "n": 3,\n  "edges": [[-0, 0]]\n}\n')
+    with pytest.raises(GraphFormatError, match=r"self-loop \[0, 0\] \(line 3\)"):
+        load_graph(path)
+    path.write_text('{"n": 3, "edges": [\n  [0, 2],\n  [-0, 1],\n  [0, 1]\n]}\n')
+    with pytest.raises(GraphFormatError, match=r"duplicate edge \[0, 1\] \(line 4\)"):
         load_graph(path)
 
 

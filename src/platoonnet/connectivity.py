@@ -1,9 +1,11 @@
 """Exact connectivity measures for platoon graphs.
 
-Four measures with independent computations: vertex and edge connectivity via
-unit-capacity max-flow (BFS augmentation), r-robustness and the isoperimetric
-constant from tables over all 2^n vertex subsets (exact, refused above a size
-limit), and algebraic connectivity from a dense symmetric eigensolver.
+Four measures with independent computations: vertex and edge connectivity by
+a sliding-window DP along the vertex order, linear in n on graphs of small
+bandwidth (unit-capacity max-flows past DP_BANDWIDTH_LIMIT), r-robustness and
+the isoperimetric constant from tables over all 2^n vertex subsets (exact,
+refused above a size limit), and algebraic connectivity from a dense
+symmetric eigensolver.
 Closed-form values for the k-nearest-neighbor family P(n, k) are provided
 alongside so the two routes can be checked against each other.
 """
@@ -32,6 +34,12 @@ ISO_LIMIT = 22
 # ~65 MiB (isoperimetric constant) and ~48 MiB (robustness), 4 times as much
 # per two more vertices; the uint32 subset masks overflow past n = 32
 EXHAUSTIVE_CEILING = 22
+# largest bandwidth at which vertex and edge connectivity run the
+# sliding-window DP, and max-flows past it.  The vertex DP grows as 3^b per
+# vertex, the max-flows as n^2: timed on P(n, b), the DP wins from n = 40 for
+# every b <= 8, and at b = 7 loses only at n = 20 (3.4 against 2.4 ms); at
+# b = 8 it takes 11 ms there against 2.6, and at b = 9 loses up to n = 100
+DP_BANDWIDTH_LIMIT = 7
 
 
 class ExhaustiveLimitError(RuntimeError):
@@ -89,24 +97,17 @@ def _max_flow(residual: list[dict[int, int]], s: int, t: int) -> int:
         flow += aug
 
 
-def vertex_connectivity(g: Graph) -> int:
+def _flow_vertex_connectivity(g: Graph) -> int:
     """Vertex connectivity by Menger's theorem over vertex-split max-flows.
 
     Each vertex v becomes v_in -> v_out with capacity 1; every edge {x, y}
     contributes infinite-capacity arcs x_out -> y_in and y_out -> x_in.  For
     a minimum-degree vertex u the minimum is taken over the pairs (u, t),
     t not in N[u], and (x, y), x, y non-adjacent in N(u) (Esfahanian &
-    Hakimi, Networks 1984).  Complete graphs return n-1, disconnected
-    graphs 0.
+    Hakimi, Networks 1984).  g must be connected (a flow of 1 ends the
+    search).  The route past DP_BANDWIDTH_LIMIT.
     """
     n = g.n
-    if n == 1:
-        return 0
-    if not is_connected(g):
-        return 0
-    if g.m == n * (n - 1) // 2:  # complete
-        return n - 1
-
     inf = n  # any s-t vertex cut has size < n
     arcs = [(2 * v, 2 * v + 1, 1) for v in range(n)]
     for i, j in g.edges:
@@ -127,23 +128,113 @@ def vertex_connectivity(g: Graph) -> int:
     return best
 
 
-def edge_connectivity(g: Graph) -> int:
-    """Edge connectivity: min over t != 0 of max-flow(0, t), unit capacities."""
+def _flow_edge_connectivity(g: Graph) -> int:
+    """Edge connectivity: min over t != 0 of max-flow(0, t), unit
+    capacities.  The route past DP_BANDWIDTH_LIMIT."""
     n = g.n
-    if n == 1:
-        return 0
     arcs = []
     for i, j in g.edges:
         arcs.append((i, j, 1))
         arcs.append((j, i, 1))
     network = _residual(n, arcs)
-    best = None
+    best = n - 1
     for t in range(1, n):
-        f = _max_flow(network, 0, t)
-        best = f if best is None or f < best else best
+        best = min(best, _max_flow(network, 0, t))
         if best == 0:
             return 0
     return best
+
+
+def _bandwidth(g: Graph) -> int:
+    """Largest j - i over the edges (i, j): every edge joins two vertices at
+    most this far apart in the vertex order."""
+    return max((j - i for i, j in g.edges), default=0)
+
+
+def _window_min_cut(g: Graph, b: int, vertex_cost: np.ndarray, edge_cost: np.ndarray) -> int:
+    """Least cost of a labelling of the vertices that uses both labels A and
+    B: the sum of vertex_cost[label] over the vertices plus
+    edge_cost[label, label] over the edges.  The labels are 0..L-1, A and B
+    the last two; edge_cost is symmetric and may hold inf (forbidden).
+
+    Sliding-window DP along the vertex order, for b >= the bandwidth (every
+    edge then joins vertices at most b apart).  A state is the labels of the
+    last b vertices, as a base-L number whose top digit is the oldest
+    vertex, plus two flags, "A used" and "B used".  Adding vertex v with
+    label c takes the minimum over the oldest label, whose digit leads and
+    so spans whole blocks, then appends c as the lowest digit.  The cost of
+    v depends only on which of v-b .. v-1 neighbour it, so one cost table is
+    built per distinct back-pattern.  Linear in n, 4 L^(b+1) entries per
+    vertex.
+    """
+    labels = len(vertex_cost)
+    rest = labels ** (b - 1)
+    window = (1 << b) - 1
+    # digit p of every state s is the label of vertex v - b + p
+    digits = np.arange(labels ** b) // labels ** np.arange(b - 1, -1, -1)[:, None] % labels
+    # edge_cost[c, digits[p, s]]: (L, b, L^b), the cost of v's label c
+    # against position p, paid where p neighbours v
+    against = edge_cost[:, digits]
+    tables: dict[int, np.ndarray] = {}
+    label_a, label_b = labels - 2, labels - 1
+    # flags: 1 = A used, 2 = B used; the window starts as label 0 padding,
+    # which no back-pattern reaches
+    cost = np.full((4, labels ** b), np.inf)
+    cost[0, 0] = 0.0
+    for v, mask in enumerate(g.neighbor_bitmasks):
+        shift = b - v
+        back = (mask << shift if shift > 0 else mask >> -shift) & window
+        table = tables.get(back)
+        if table is None:
+            bits = [p for p in range(b) if back >> p & 1]
+            table = vertex_cost[:, None] + against[:, bits].sum(axis=1)
+            table = tables[back] = table.reshape(1, labels, labels, rest)
+        # step[f, c, r]: least cost of flags f with v labelled c and the
+        # newer b - 1 labels r, over the oldest label
+        step = (cost.reshape(4, 1, labels, rest) + table).min(axis=2)
+        # labelling v A (B) may set flag 1 (2); a state that leaves it unset
+        # can only reach flags 3 by using that label again
+        step[1::2, label_a] = np.minimum(step[0::2, label_a], step[1::2, label_a])
+        step[2:, label_b] = np.minimum(step[:2, label_b], step[2:, label_b])
+        cost = step.transpose(0, 2, 1).reshape(4, -1)
+    return int(cost[3].min())
+
+
+# labels (X, A, B): a separator X costs 1 per vertex and no edge joins A to B
+_SEPARATOR = (np.array([1.0, 0.0, 0.0]),
+              np.array([[0.0, 0.0, 0.0], [0.0, 0.0, np.inf], [0.0, np.inf, 0.0]]))
+# labels (A, B): a cut costs 1 per edge that joins A to B
+_CUT = (np.zeros(2), np.array([[0.0, 1.0], [1.0, 0.0]]))
+
+
+def _connectivity(g: Graph, costs, flow) -> int:
+    """0 for one vertex or a disconnected graph, n-1 for a complete one;
+    otherwise the sliding-window DP with `costs` when the bandwidth is at
+    most DP_BANDWIDTH_LIMIT, and the max-flow routine `flow` past it."""
+    n = g.n
+    if n == 1:
+        return 0
+    if g.m == n * (n - 1) // 2:  # complete
+        return n - 1
+    if not is_connected(g):
+        return 0
+    b = _bandwidth(g)
+    if b <= DP_BANDWIDTH_LIMIT:
+        return _window_min_cut(g, b, *costs)
+    return flow(g)
+
+
+def vertex_connectivity(g: Graph) -> int:
+    """Fewest vertices whose removal disconnects g (n-1 if g is complete):
+    the least separator X that splits the rest into nonempty sides A and B
+    with no edge between them."""
+    return _connectivity(g, _SEPARATOR, _flow_vertex_connectivity)
+
+
+def edge_connectivity(g: Graph) -> int:
+    """Fewest edges whose removal disconnects g: the least number of edges
+    between nonempty sides A and B that split the vertices."""
+    return _connectivity(g, _CUT, _flow_edge_connectivity)
 
 
 def _reach_table(g: Graph) -> np.ndarray:
@@ -323,7 +414,8 @@ def connectivity_report(
     `limit` caps both exhaustive measures, up to EXHAUSTIVE_CEILING; None
     keeps each at its default.
     A measure over it is skipped with a note, unless explicitly required, in
-    which case ExhaustiveLimitError propagates before any max-flow runs.
+    which case ExhaustiveLimitError propagates before vertex or edge
+    connectivity is computed.
     """
     rb_limit, iso_limit = (ROBUSTNESS_LIMIT, ISO_LIMIT) if limit is None else (_ceiled(limit),) * 2
     rb = rb_note = iso = iso_note = None

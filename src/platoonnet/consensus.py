@@ -73,7 +73,7 @@ def is_f_local(g: Graph, adversary_set, f: int) -> bool:
     """True iff every vehicle outside the set has <= f neighbors inside it."""
     inside = 0
     for v in adversary_set:
-        inside |= 1 << _vertex(g, int(v))
+        inside |= 1 << _vertex(g, v)
     return all((mask & inside).bit_count() <= f
                for i, mask in enumerate(g.neighbor_bitmasks) if not inside >> i & 1)
 

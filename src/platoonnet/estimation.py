@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graph import Graph, _vertex, laplacian, neighbors
+from .graph import Graph, _vehicle_id, _vertex, laplacian, neighbors
 
 
 class ModelMismatchError(RuntimeError):
@@ -70,7 +70,7 @@ class FaultScenario:
     horizon: int
 
     def __post_init__(self):
-        faulty = tuple(sorted(int(v) for v in self.faulty))
+        faulty = tuple(sorted(_vehicle_id(v) for v in self.faulty))
         if len(set(faulty)) != len(faulty):
             raise ValueError("duplicate faulty vehicles")
         object.__setattr__(self, "faulty", faulty)
@@ -181,9 +181,12 @@ def observation_model(
     Returns (O, J) such that the stacked measurements satisfy
     Y = O x[0] + J Phi exactly, where Phi stacks phi[0..L-2] (each of size
     |fault_set|, ordered by sorted fault set).  With length = 1, J has zero
-    columns.
+    columns.  Every fault id must be a vehicle of W's graph, and none may
+    repeat.
     """
-    faults = sorted(set(int(v) for v in fault_set))
+    faults = sorted(_vertex(W.graph, v) for v in fault_set)
+    if len(set(faults)) != len(faults):
+        raise ValueError("duplicate faulty vehicles")
     obs, forced = _stacked_maps(W, measured_rows(W.graph, observer), length)
     return obs, forced[:, :, faults].reshape(obs.shape[0], (length - 1) * len(faults))
 

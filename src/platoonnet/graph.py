@@ -34,8 +34,17 @@ def _is_int(v) -> bool:
     return isinstance(v, (int, np.integer)) and not isinstance(v, bool)
 
 
-def _vertex(g: Graph, i: int) -> int:
-    """i, checked to be a vertex id of g."""
+def _vehicle_id(v) -> int:
+    """v as an int: a Python or numpy integer, not a bool.  Anything else,
+    2.5 say, is refused rather than truncated."""
+    if not _is_int(v):
+        raise ValueError(f"vehicle id must be an integer, got {v!r}")
+    return int(v)
+
+
+def _vertex(g: Graph, i) -> int:
+    """i as an int, checked to be a vertex id of g."""
+    i = _vehicle_id(i)
     if not 0 <= i < g.n:
         raise ValueError(f"vertex {i} out of range for n={g.n}")
     return i

@@ -61,6 +61,17 @@ def test_analyze_graph_file(tmp_path):
     assert got["lambda2_bounds"] is None  # no platoon parameters known
 
 
+def test_analyze_long_graph_file(tmp_path):
+    # 1000 vehicles: vertex and edge connectivity are linear in n
+    gpath = tmp_path / "long.json"
+    save_graph(build_knn_platoon(PlatoonSpec(1000, 3)), gpath)
+    out = tmp_path / "out"
+    assert main(["analyze", "--graph", str(gpath), "--out", str(out)]) == 0
+    (name,) = read_manifest(out)["outputs"]
+    got = json.loads((out / name).read_text())
+    assert got["vertex_connectivity"] == got["edge_connectivity"] == 3
+
+
 @pytest.mark.parametrize("fmt", ["csv", "json"])
 def test_analyze_graph_of_one_vehicle(tmp_path, fmt):
     gpath = tmp_path / "one.json"

@@ -16,6 +16,7 @@ from helpers import (
     random_graph,
 )
 from platoonnet.connectivity import (
+    DP_BANDWIDTH_LIMIT,
     EXHAUSTIVE_CEILING,
     ExhaustiveLimitError,
     ISO_LIMIT,
@@ -132,18 +133,113 @@ def test_vertex_connectivity_against_brute_force():
 
 
 def test_vertex_connectivity_pair_reduction_against_brute_force():
-    # the Esfahanian-Hakimi pair set on graphs of every density, connected
-    # or not, complete ones included
+    # the Esfahanian-Hakimi pair set on connected graphs of every density,
+    # complete ones included
     rng = np.random.default_rng(1984)
     for _ in range(150):
         g = random_graph(rng, n_min=2, n_max=8)
-        assert vertex_connectivity(g) == brute_force_vertex_connectivity(g), (g.n, g.edges)
+        want = brute_force_vertex_connectivity(g)
+        assert vertex_connectivity(g) == want, (g.n, g.edges)
+        if is_connected(g):
+            assert connectivity._flow_vertex_connectivity(g) == want, (g.n, g.edges)
     # Every vertex off the cut {0, 5, 6} neighbours the minimum-degree vertex
     # 0, so only the pairs inside N(0), here (1, 3), see the cut; every pair
     # (0, t) has 4 disjoint paths.
     hub = [(0, v) for v in (1, 2, 3, 4)] + [(1, 2), (3, 4), (5, 6)]
     g = Graph.from_edges(7, hub + [(s, v) for s in (5, 6) for v in (1, 2, 3, 4)])
+    assert connectivity._flow_vertex_connectivity(g) == 3
     assert vertex_connectivity(g) == brute_force_vertex_connectivity(g) == 3
+
+
+def count_max_flows(monkeypatch) -> list:
+    """Record the (s, t) of every max-flow run from here on."""
+    calls = []
+    real = connectivity._max_flow
+
+    def counted(residual, s, t):
+        calls.append((s, t))
+        return real(residual, s, t)
+
+    monkeypatch.setattr(connectivity, "_max_flow", counted)
+    return calls
+
+
+def banded_graph(rng, n_max=14, b_max=4) -> Graph:
+    """Random graph, connected or not, whose edges join vertices at most b
+    apart, b <= b_max: each such pair is an edge with a probability drawn per
+    graph."""
+    n = int(rng.integers(1, n_max + 1))
+    b = int(rng.integers(1, b_max + 1))
+    p = float(rng.uniform())
+    return Graph.from_edges(n, [(i, j) for i in range(n) for j in range(i + 1, min(n, i + b + 1))
+                                if rng.uniform() < p])
+
+
+def window_dp(g, costs):
+    return connectivity._window_min_cut(g, connectivity._bandwidth(g), *costs)
+
+
+def test_connectivity_dp_matches_oracles_on_every_small_platoon(monkeypatch):
+    calls = count_max_flows(monkeypatch)
+    for n in range(2, 16):
+        for k in range(1, n):
+            g = build_knn_platoon(PlatoonSpec(n, k))
+            calls.clear()
+            assert (vertex_connectivity(g), edge_connectivity(g)) == (k, k), (n, k)
+            # complete graphs take neither route; max-flow only past the limit
+            assert bool(calls) == (DP_BANDWIDTH_LIMIT < k < n - 1), (n, k)
+            assert connectivity._flow_vertex_connectivity(g) == k, (n, k)
+            assert connectivity._flow_edge_connectivity(g) == k, (n, k)
+            assert brute_force_vertex_connectivity(g) == k, (n, k)
+            if k < n - 1:  # the DP itself, also past the limit
+                assert window_dp(g, connectivity._CUT) == k, (n, k)
+                if k <= 10:  # the vertex DP's window holds 3^k labellings
+                    assert window_dp(g, connectivity._SEPARATOR) == k, (n, k)
+
+
+def test_connectivity_dp_matches_oracles_on_random_banded_graphs(monkeypatch):
+    rng = np.random.default_rng(20)
+    graphs = [banded_graph(rng) for _ in range(400)]
+    graphs += [Graph.from_edges(1, []), Graph.from_edges(2, []), Graph.from_edges(2, [(0, 1)])]
+    graphs += [complete_graph(n) for n in (3, 4, 5)]
+    kinds = set()
+    for g in graphs:
+        want_vertex = brute_force_vertex_connectivity(g)
+        want_edge = connectivity._flow_edge_connectivity(g)
+        if is_connected(g):
+            assert connectivity._flow_vertex_connectivity(g) == want_vertex, (g.n, g.edges)
+        with monkeypatch.context() as patch:
+            calls = count_max_flows(patch)
+            assert vertex_connectivity(g) == want_vertex, (g.n, g.edges)
+            assert edge_connectivity(g) == want_edge, (g.n, g.edges)
+            assert not calls, (g.n, g.edges)
+        kinds.add((is_connected(g), g.m == g.n * (g.n - 1) // 2))
+    assert kinds == {(True, True), (True, False), (False, False)}
+
+
+def test_connectivity_past_the_bandwidth_limit_runs_max_flow(monkeypatch):
+    # P(30, 3) with shuffled ids: the same graph, but its edges now span
+    # far more than DP_BANDWIDTH_LIMIT in the vertex order
+    order = np.random.default_rng(3).permutation(30)
+    platoon = build_knn_platoon(PlatoonSpec(30, 3))
+    g = Graph.from_edges(30, [(int(order[i]), int(order[j])) for i, j in platoon.edges])
+    assert connectivity._bandwidth(g) > DP_BANDWIDTH_LIMIT
+    calls = count_max_flows(monkeypatch)
+    assert vertex_connectivity(g) == 3 and calls
+    calls.clear()
+    assert edge_connectivity(g) == 3 and calls
+    calls.clear()
+    assert vertex_connectivity(platoon) == edge_connectivity(platoon) == 3 and not calls
+    # two such platoons side by side: disconnected, so neither route runs
+    pair = Graph.from_edges(60, [*g.edges, *((i + 30, j + 30) for i, j in g.edges)])
+    assert vertex_connectivity(pair) == edge_connectivity(pair) == 0 and not calls
+    # a cut vertex and a bridge, past the limit
+    hinged = Graph.from_edges(19, [(0, 9), (9, 18), (0, 18), (9, 1), (1, 2), (2, 9)]
+                              + [(v, v + 1) for v in range(2, 8)] + [(8, 10)]
+                              + [(v, v + 1) for v in range(10, 17)])
+    assert connectivity._bandwidth(hinged) > DP_BANDWIDTH_LIMIT
+    assert vertex_connectivity(hinged) == brute_force_vertex_connectivity(hinged) == 1
+    assert edge_connectivity(hinged) == 1
 
 
 def test_whitney_inequalities_on_random_graphs():

@@ -61,6 +61,14 @@ def test_is_f_local():
     assert is_f_local(g, [], 0)
 
 
+def test_is_f_local_refuses_non_integral_ids():
+    # 2.7 would be truncated to vehicle 2; numpy integers are ids
+    g = build_knn_platoon(PlatoonSpec(5, 1))
+    with pytest.raises(ValueError, match=r"^vehicle id must be an integer, got 2\.7$"):
+        is_f_local(g, [2.7], 0)
+    assert is_f_local(g, [np.int64(2)], 1) and not is_f_local(g, [np.int32(2)], 0)
+
+
 def test_is_f_local_matches_the_set_count():
     # adversary sets from empty to all vehicles but one, on random graphs
     # connected or not, given as a list and as a numpy array

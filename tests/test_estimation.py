@@ -116,6 +116,14 @@ def test_fault_scenario_validation():
         FaultScenario(faulty=(3, 1, 3), phi={(3, 0): 1.0}, horizon=2)
 
 
+def test_fault_scenario_refuses_non_integral_ids():
+    # 2.5 would be truncated to vehicle 2; numpy integers are ids
+    with pytest.raises(ValueError, match=r"^vehicle id must be an integer, got 2\.5$"):
+        FaultScenario(faulty=(2.5,), phi={}, horizon=1)
+    scenario = FaultScenario(faulty=(np.int64(2), 0), phi={}, horizon=1)
+    assert scenario.faulty == (0, 2) and all(type(v) is int for v in scenario.faulty)
+
+
 def test_simulation_rejects_a_faulty_id_outside_the_graph():
     # -1 would wrap to the last vehicle, and n is past the end
     _, W, x0 = make_setup(5, 2, 9)
@@ -126,6 +134,21 @@ def test_simulation_rejects_a_faulty_id_outside_the_graph():
 
 
 # ------------------------------------------------------------ observation
+
+
+def test_observation_model_checks_its_fault_ids():
+    # -1 would wrap to the last vehicle, 7 is past the end, and a repeat
+    # would fold into one id
+    _, W, _ = make_setup(5, 2, 9)
+    for v in (-1, 7):
+        with pytest.raises(ValueError, match=rf"^vertex {v} out of range for n=5$"):
+            observation_model(W, 0, 3, (v,))
+    with pytest.raises(ValueError, match="^duplicate faulty vehicles$"):
+        observation_model(W, 0, 3, (4, 4))
+    with pytest.raises(ValueError, match=r"^vehicle id must be an integer, got 2\.5$"):
+        observation_model(W, 0, 3, (2.5,))
+    _, forced = observation_model(W, 0, 3, (np.int64(4),))
+    assert np.array_equal(forced, observation_model(W, 0, 3, (4,))[1])
 
 
 def test_measured_rows_are_closed_neighborhood():

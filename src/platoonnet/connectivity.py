@@ -31,8 +31,10 @@ from .graph import (
 ROBUSTNESS_LIMIT = 19
 ISO_LIMIT = 22
 # no limit reaches past this n: at n = 22 the 2^n tables already peak at
-# ~65 MiB (isoperimetric constant) and ~48 MiB (robustness), 4 times as much
-# per two more vertices; the uint32 subset masks overflow past n = 32
+# ~48 MiB (robustness) and ~8 MiB (isoperimetric constant), 4 times as much
+# per two more vertices; the robustness table's uint32 subset masks overflow
+# past n = 32.  The isoperimetric uint8 tables hold at most n^2/4 + n - 1
+# (142 at n = 22, never negative), which fits a byte up to n = 30
 EXHAUSTIVE_CEILING = 22
 # largest bandwidth at which vertex and edge connectivity run the
 # sliding-window DP, and max-flows past it.  The vertex DP grows as 3^b per
@@ -299,28 +301,33 @@ def isoperimetric_constant(g: Graph, limit: int = ISO_LIMIT) -> tuple[Fraction, 
 
     Returns the exact rational together with its float value.  Refuses
     n > limit and n > EXHAUSTIVE_CEILING.  The search is vectorized over
-    all 2^n subsets, whose boundary sizes are filled in by doubling: adding
-    vertex v to a subset S of the vertices below v adds deg(v) edges and
-    removes the 2 |N(v) ∩ S| edge ends that now lie inside.  The minimum
-    is then taken in exact fractions over the least boundary of each size.
+    all 2^n subsets, whose boundaries and sizes are filled in by bit-plane
+    doubling, one byte per subset in each table: adding vertex v to a
+    subset S of the vertices below v adds deg(v) edges and removes the
+    2 |N(v) ∩ S| edge ends that now lie inside.  The minimum is then taken
+    in exact fractions over the least boundary of each size.
     """
     n = g.n
     _refuse_above(limit, n, "isoperimetric constant")
     if n < 2:
         raise ValueError("isoperimetric constant requires n >= 2")
     total = 1 << n
-    idx = np.arange(total, dtype=np.uint32)
-    nb = g.neighbor_bitmasks
-    degs = degrees(g)
-    # boundary[S + 2^v] = boundary[S] + deg(v) - 2 |N(v) & S| for S < 2^v
-    boundary = np.zeros(total, dtype=np.int32)
-    for v in range(n):
+    boundary = np.zeros(total, dtype=np.uint8)
+    size = np.zeros(total, dtype=np.uint8)
+    for v, (mask, deg) in enumerate(zip(g.neighbor_bitmasks, degrees(g))):
         half = 1 << v
-        inner = np.bitwise_count(idx[:half] & np.uint32(nb[v] & (half - 1))).astype(np.int32)
-        boundary[half : 2 * half] = boundary[:half] + np.int32(degs[v]) - 2 * inner
-    # the least boundary per subset size; no boundary reaches n^2
-    least = np.full(n + 1, n * n, np.int32)
-    np.minimum.at(least, np.bitwise_count(idx), boundary)
+        # boundary[S + 2^v] = boundary[S] + deg(v) - 2 |N(v) & S| for
+        # S < 2^v: deg(v) is added first, so no byte drops below 0, then 2
+        # comes off the strided blocks of S holding each neighbour u < v
+        top = boundary[half : 2 * half]
+        np.add(boundary[:half], np.uint8(deg), out=top)
+        for u in range(v):
+            if mask >> u & 1:
+                top.reshape(-1, 2, 1 << u)[:, 1] -= 2
+        np.add(size[:half], np.uint8(1), out=size[half : 2 * half])
+    # the least boundary per subset size; no boundary reaches 255
+    least = np.full(n + 1, 255, np.uint8)
+    np.minimum.at(least, size, boundary)
     frac = min(Fraction(int(least[s]), s) for s in range(1, n // 2 + 1))
     return frac, float(frac)
 

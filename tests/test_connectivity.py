@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from fractions import Fraction
 from itertools import combinations
 
@@ -371,6 +372,33 @@ def test_iso_subset_doubling_against_edge_sum():
         assert val == float(frac)
     g = build_knn_platoon(PlatoonSpec(20, 4))
     assert isoperimetric_constant(g)[0] == edge_sum_isoperimetric(g) == 1
+
+
+def test_iso_byte_table_headroom_on_complete_and_dense_graphs():
+    # K_22 reaches the largest boundary of any graph within the ceiling,
+    # 11 * 11 = 121 at |S| = 11, and 142 before a subtraction
+    assert isoperimetric_constant(complete_graph(22), limit=22)[0] == 11
+    assert isoperimetric_constant(complete_graph(21))[0] == 11  # ceil(n/2)
+    rng = np.random.default_rng(22)
+    for _ in range(30):
+        n = int(rng.integers(14, 17))
+        p = float(rng.uniform(0.7, 1.0))
+        g = Graph.from_edges(n, [(i, j) for i in range(n) for j in range(i + 1, n)
+                                 if rng.uniform() < p])
+        assert isoperimetric_constant(g)[0] == edge_sum_isoperimetric(g), (g.n, g.edges)
+
+
+def test_iso_holds_one_byte_per_subset():
+    # two uint8 tables of 2^20 entries are 2 MiB; numpy reports its buffers
+    # to tracemalloc, so the peak is deterministic
+    g = build_knn_platoon(PlatoonSpec(20, 4))
+    tracemalloc.start()
+    try:
+        isoperimetric_constant(g)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 3 << 20, peak
 
 
 def test_knn_iso_closed_form_against_exhaustive():

@@ -29,7 +29,8 @@ from types import SimpleNamespace
 import numpy as np
 
 from . import _EXPORTS, _MODULE_OF, __version__
-from .graph import Graph, PlatoonSpec, build_knn_platoon, load_graph, read_json
+from .graph import (Graph, GraphFormatError, PlatoonSpec, build_knn_platoon, graph_from_json,
+                    load_graph, read_json)
 
 
 def _bind(module: str) -> None:
@@ -60,41 +61,8 @@ class ValidationFailure(ValueError):
     """User input failed validation; maps to exit code 2."""
 
 
-_GRAPH_SPEC_SCHEMA = {
-    "oneOf": [
-        {"type": "string"},
-        {
-            "type": "object",
-            "properties": {
-                "platoon": {
-                    "type": "array",
-                    "items": {"type": "integer"},
-                    "minItems": 2,
-                    "maxItems": 2,
-                }
-            },
-            "required": ["platoon"],
-            "additionalProperties": False,
-        },
-        {
-            "type": "object",
-            "properties": {
-                "n": {"type": "integer", "minimum": 1},
-                "edges": {
-                    "type": "array",
-                    "items": {
-                        "type": "array",
-                        "items": {"type": "integer"},
-                        "minItems": 2,
-                        "maxItems": 2,
-                    },
-                },
-            },
-            "required": ["n", "edges"],
-            "additionalProperties": False,
-        },
-    ]
-}
+# a graph file's path, or an inline graph object that graph_from_json judges
+_GRAPH_SPEC_SCHEMA = {"oneOf": [{"type": "string"}, {"type": "object"}]}
 
 # Each adversary strategy's params, named as its constructor's arguments.
 STRATEGY_PARAMS = {
@@ -304,15 +272,17 @@ def _load_document(path: str, schema: dict, what: str):
     return data
 
 
-def _resolve_graph(spec, base_dir: Path) -> Graph:
+def _resolve_graph(spec, base_dir: Path, what: str) -> Graph:
     """Graph from a checked 'graph' entry: a graph file (a relative path
-    resolves against base_dir), a platoon or an inline edge list.  The
-    schema's integers may be integral floats such as 4.0; int() reads them."""
+    resolves against base_dir) or an inline graph object, whose errors are
+    reported at /graph, or at /graph/edges/<i> for a failing edge."""
     if isinstance(spec, str):
         return load_graph(base_dir / spec)
-    if "platoon" in spec:
-        return build_knn_platoon(PlatoonSpec(*map(int, spec["platoon"])))
-    return Graph.from_edges(int(spec["n"]), [tuple(map(int, e)) for e in spec["edges"]])
+    try:
+        return graph_from_json(spec)
+    except GraphFormatError as exc:
+        edge = () if exc.edge_index is None else ("edges", exc.edge_index)
+        raise _invalid(what, ("graph", *edge), str(exc)) from exc
 
 
 def _vehicle(value, n: int, what: str, path: tuple, earlier=()) -> int:
@@ -592,7 +562,7 @@ def cmd_analyze(args) -> int:
 
     platoon = None if args.platoon is None else _parse_platoon(args.platoon)
     graph_cfg = args.graph if platoon is None else {"platoon": [platoon.n, platoon.k]}
-    g = _resolve_graph(graph_cfg, Path("."))
+    g = load_graph(Path(args.graph)) if platoon is None else build_knn_platoon(platoon)
     config = {
         "graph": graph_cfg,
         "robustness": bool(args.robustness),
@@ -633,7 +603,7 @@ def cmd_analyze(args) -> int:
 def load_estimation_scenario(path: str, seed_override: int | None = None):
     _bind("estimation")
     data = _load_document(path, ESTIMATE_SCHEMA, "scenario")
-    g = _resolve_graph(data["graph"], Path(path).parent)
+    g = _resolve_graph(data["graph"], Path(path).parent, "scenario")
     seed = _scenario_seed(data, seed_override)
     horizon = int(data.get("horizon", g.n))
     faulty = tuple(sorted(
@@ -645,7 +615,7 @@ def load_estimation_scenario(path: str, seed_override: int | None = None):
         raise ValidationFailure("scenario: the observer cannot be a faulty vehicle")
     phi: dict[tuple[int, int], float] = {}
     for idx, (veh, step, value) in enumerate(data["phi"]):
-        key = (int(veh), int(step))
+        veh, step = key = (int(veh), int(step))
         if veh not in faulty:
             raise _invalid("scenario", ("phi", idx), f"vehicle {veh} is not in the faulty set")
         if not 0 <= step < horizon:
@@ -712,7 +682,7 @@ def _build_strategy(kind: str, params: dict, vehicle: int, scenario_seed: int, p
 def load_consensus_scenario(path: str, seed_override: int | None = None):
     _bind("consensus")
     data = _load_document(path, CONSENSUS_SCHEMA, "scenario")
-    g = _resolve_graph(data["graph"], Path(path).parent)
+    g = _resolve_graph(data["graph"], Path(path).parent, "scenario")
     seed = _scenario_seed(data, seed_override)
     adversaries = []
     for i, entry in enumerate(data["adversaries"]):
@@ -753,7 +723,7 @@ def cmd_consensus(args) -> int:
 def load_formation_config(path: str):
     _bind("formation")
     data = _load_document(path, FORMATION_SCHEMA, "config")
-    g = _resolve_graph(data["graph"], Path(path).parent)
+    g = _resolve_graph(data["graph"], Path(path).parent, "config")
     system = build_formation(g, data["kp"], data["ku"], data.get("d0", 10.0))
     T = float(data.get("T", 10.0))
     h = float(data.get("h", 1e-3))

@@ -16,7 +16,7 @@ import numpy as np
 
 
 class GraphFormatError(ValueError):
-    """A graph file or edge list violates the format contract.
+    """A graph file, graph object, edge list or platoon spec breaks its contract.
 
     `edge_index` is the position of the offending edge in the input list
     and `pair` its two vertex ids as given; each is None when not known.
@@ -88,10 +88,6 @@ class Graph:
         canon = _canonical_edges(self.n, self.edges)
         object.__setattr__(self, "edges", canon)
 
-    @classmethod
-    def from_edges(cls, n: int, edges) -> "Graph":
-        return cls(n, tuple(edges))
-
     @property
     def m(self) -> int:
         """Number of edges."""
@@ -121,9 +117,9 @@ class PlatoonSpec:
 
     def __post_init__(self):
         if not _is_int(self.n) or self.n < 1:
-            raise ValueError(f"platoon size must be a positive integer, got {self.n!r}")
+            raise GraphFormatError(f"platoon size must be a positive integer, got {self.n!r}")
         if not _is_int(self.k) or not (1 <= self.k <= self.n - 1):
-            raise ValueError(
+            raise GraphFormatError(
                 f"neighbor range k must satisfy 1 <= k <= n-1, got k={self.k!r} for n={self.n}"
             )
         object.__setattr__(self, "n", int(self.n))
@@ -234,11 +230,11 @@ def save_graph(g: Graph, path) -> None:
 
 
 def _locate_line(text: str, a: int, b: int, occurrence: int = 1) -> int | None:
-    """Best-effort line number of the `occurrence`-th appearance of [a, b].
-    JSON spells the id 0 as `0` or `-0`."""
-    ids = ("-?0" if v == 0 else str(v) for v in (a, b))
-    pat = re.compile(r"\[\s*%s\s*,\s*%s\s*\]" % tuple(ids))
-    for count, match in enumerate(pat.finditer(text), start=1):
+    """Best-effort line number of the `occurrence`-th appearance of [a, b],
+    its ids in any JSON spelling (0 as `-0`, 2 as `2.0`).  Every innermost
+    bracket before the failing edge's holds a checked edge."""
+    matches = (m for m in re.finditer(r"\[[^][]*\]", text) if json.loads(m.group()) == [a, b])
+    for count, match in enumerate(matches, start=1):
         if count == occurrence:
             return text.count("\n", 0, match.start()) + 1
     return None
@@ -267,24 +263,49 @@ def read_json(path, kind: str) -> tuple[str, object]:
     raise GraphFormatError(f"{kind}: {problem}: {path}")
 
 
-def load_graph(path) -> Graph:
-    """Read a JSON graph file, reporting offending line numbers on errors.
+def _whole(v):
+    """v, or the int it spells when v is an integral float such as 4.0."""
+    return int(v) if isinstance(v, float) and v.is_integer() else v
 
-    The graph is checked once, by the Graph validator; only the edge it
-    rejects is looked up in the text."""
-    text, data = read_json(path, "graph")
-    if not isinstance(data, dict) or "n" not in data or "edges" not in data:
-        raise GraphFormatError(f"{path}: expected an object with 'n' and 'edges'")
-    raw = data["edges"]
-    if not isinstance(raw, list):
-        raise GraphFormatError(f"{path}: 'edges' must be a list")
+
+def graph_from_json(data) -> Graph:
+    """The Graph of a parsed JSON graph object, inline or read from a file:
+    {"n": N, "edges": [[i, j], ...]} or {"platoon": [n, k]}, with no other
+    key.  An integral number such as 4.0 is read as the integer 4; Graph and
+    PlatoonSpec check every value.  Every error is a GraphFormatError, whose
+    edge_index locates a failing edge."""
+    keys = set(data) if isinstance(data, dict) else None
+    if keys == {"platoon"}:
+        pair = data["platoon"]
+        if not (isinstance(pair, list) and len(pair) == 2):
+            raise GraphFormatError(f"'platoon' must be a list [n, k], got {pair!r}")
+        return build_knn_platoon(PlatoonSpec(*map(_whole, pair)))
+    if keys != {"n", "edges"}:
+        raise GraphFormatError("expected an object with 'n' and 'edges' or with 'platoon', "
+                               "and no other key")
+    n, edges = _whole(data["n"]), data["edges"]
+    if not isinstance(edges, list):
+        raise GraphFormatError("'edges' must be a list")
     try:
-        return Graph(data["n"], raw)
+        return Graph(n, edges)
+    except GraphFormatError as exc:  # an id spelled 3.0, say: a second pass reads it as 3
+        if exc.pair is not None:
+            raise
+        return Graph(n, [[_whole(v) for v in e] if isinstance(e, list) else e for e in edges])
+
+
+def load_graph(path) -> Graph:
+    """Read a JSON graph file: any object graph_from_json takes.  Its errors
+    name the file, and the line of a failing edge, which is looked up in the
+    text only then."""
+    text, data = read_json(path, "graph")
+    try:
+        return graph_from_json(data)
     except GraphFormatError as exc:
         loc = ""
         if exc.pair is not None:
             a, b = exc.pair
-            seen = raw[: exc.edge_index + 1].count([a, b])
+            seen = data["edges"][: exc.edge_index + 1].count([a, b])
             where = _locate_line(text, a, b, occurrence=seen)
             loc = f" (line {where})" if where is not None else ""
         raise GraphFormatError(f"{path}: {exc}{loc}", exc.edge_index, exc.pair) from exc

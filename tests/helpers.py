@@ -56,7 +56,7 @@ def random_connected_graph(rng, n_min=4, n_max=10, avoid_complete=True) -> Graph
                 edges.add((min(a, b), max(a, b)))
         if avoid_complete and len(edges) == max_m:
             continue
-        return Graph.from_edges(n, sorted(edges))
+        return Graph(n, sorted(edges))
 
 
 def random_graph(rng, n_min=2, n_max=10) -> Graph:
@@ -64,7 +64,7 @@ def random_graph(rng, n_min=2, n_max=10) -> Graph:
     probability drawn per graph from [0, 1]."""
     n = int(rng.integers(n_min, n_max + 1))
     p = float(rng.uniform())
-    return Graph.from_edges(n, [(i, j) for i in range(n) for j in range(i + 1, n)
+    return Graph(n, [(i, j) for i in range(n) for j in range(i + 1, n)
                                 if rng.uniform() < p])
 
 

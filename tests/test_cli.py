@@ -293,6 +293,10 @@ def test_estimate_scenario_validation_errors(tmp_path, capsys):
 @pytest.mark.parametrize("change, message", [
     ({"phi": [[3, 0, 1.0], [3, 0, 5.0]]}, "invalid at /phi/1: vehicle 3, step 0 is given twice"),
     ({"phi": [[3, 0, 1.0], [3, 6, 5.0]]}, "invalid at /phi/1: step 6 outside 0..5"),
+    # ids are spelled as the integers they are, as _vehicle spells them
+    ({"phi": [[5.0, 0, 1.0]]}, "invalid at /phi/0: vehicle 5 is not in the faulty set"),
+    ({"phi": [[3, 9.0, 1.0]]}, "invalid at /phi/0: step 9 outside 0..5"),
+    ({"phi": [[3.0, 0, 1.0], [3, 0.0, 5.0]]}, "invalid at /phi/1: vehicle 3, step 0 is given twice"),
     # no fault set of size f = 0 explains the injected signal
     ({"phi": [[3, 0, 1.0]], "f": 0},
      "scenario is inconsistent with the fault model: no candidate fault set of size <= 0"),
@@ -472,6 +476,68 @@ def test_scenario_graph_variants(tmp_path):
     r1 = read_csv(tmp_path / "o1" / m1["outputs"][0])
     r2 = read_csv(tmp_path / "o2" / m2["outputs"][0])
     assert r1 == r2  # identical graph and seed, identical run
+
+
+# Graph objects with the pointer at which an inline one is refused (None: it
+# runs).  graph_from_json judges each one, inline or as a graph file, so the
+# two agree on every object and give the same message.
+GRAPH_OBJECTS = [
+    ({"edges": [[0, 1]]}, "/graph"),  # no n
+    ({"n": 0, "edges": []}, "/graph"),
+    ({"n": 2.5, "edges": []}, "/graph"),
+    ({"n": True, "edges": []}, "/graph"),
+    ({"n": "4", "edges": []}, "/graph"),
+    ({"n": 4, "edges": {"0": 1}}, "/graph"),  # edges not a list
+    ({"n": 4, "edges": [[0, 1, 2]]}, "/graph/edges/0"),  # a triple
+    ({"n": 4, "edges": [[0, 1], [2.5, 3]]}, "/graph/edges/1"),
+    ({"n": 4, "edges": [[0, 1], [1, True]]}, "/graph/edges/1"),
+    ({"n": 4, "edges": [[0, 1], [2, 2.0]]}, "/graph/edges/1"),  # a self-loop
+    ({"n": 4, "edges": [[0, 1], [1, 4]]}, "/graph/edges/1"),  # out of range
+    ({"n": 4, "edges": [[0, 1], [1, 2], [0, 1]]}, "/graph/edges/2"),  # a duplicate
+    ({"n": 4, "edges": [[0, 1], [1, 2], [1, 0]]}, "/graph/edges/2"),  # reversed
+    ({"n": 4, "edges": [], "extra": 1}, "/graph"),  # an unknown key
+    ({"platoon": [6]}, "/graph"),
+    ({"platoon": [6, 2, 1]}, "/graph"),
+    ({"platoon": [6, 2.5]}, "/graph"),
+    ({"platoon": [[6], 2]}, "/graph"),
+    ({"platoon": [6, 6]}, "/graph"),  # k >= n
+    ({"platoon": [6, 2], "n": 6}, "/graph"),  # both forms mixed
+    ({"platoon": [6, 2], "n": 6, "edges": []}, "/graph"),
+    # integral numbers are integers, in files too
+    ({"n": 4.0, "edges": [[0, 1.0], [1, 2], [2.0, 3]]}, None),
+    ({"platoon": [4.0, 1]}, None),
+    ({"n": 4, "edges": [[0, 1], [1, 2], [2, 3]]}, None),
+]
+
+
+@pytest.mark.parametrize("obj, pointer", GRAPH_OBJECTS)
+def test_graph_objects_one_rule_inline_and_in_files(tmp_path, capsys, obj, pointer):
+    graph = tmp_path / "graph.json"
+    graph.write_text(json.dumps(obj))
+    estimate = {"graph": obj, "seed": 1, "faulty": [], "phi": [], "observer": 0, "f": 0}
+    formation = {"graph": obj, "kp": 5.0, "ku": 10.0, "T": 0.5}
+    runs = [("scenario", ["estimate", "--scenario"], estimate),
+            ("config", ["formation", "--config"], formation),
+            (str(graph), ["analyze", "--graph"], None)]
+    messages = []
+    for what, argv, doc in runs:
+        path = graph if doc is None else tmp_path / f"{what}.json"
+        if doc is not None:
+            path.write_text(json.dumps(doc))
+        out = tmp_path / f"out-{argv[0]}"
+        code = main([*argv, str(path), "--out", str(out)])
+        err = capsys.readouterr().err
+        assert code == (0 if pointer is None else 2), (argv[0], err)
+        if pointer is None:
+            continue
+        head = f"error: {what}: " + ("" if doc is None else f"invalid at {pointer}: ")
+        assert err.startswith(head) and err.count("\n") == 1, err
+        messages.append(err[len(head):-1])
+        assert not out.exists()
+    if messages:  # the same message in each form; a file adds the failing edge's line
+        inline, _, file = messages
+        assert messages[1] == inline
+        assert file in (inline, f"{inline} (line 1)"), messages
 
 
 # --------------------------------------------------------------- consensus

@@ -37,18 +37,18 @@ from platoonnet.graph import Graph, PlatoonSpec, build_knn_platoon, degrees, lap
 
 
 def complete_graph(n):
-    return Graph.from_edges(n, [(i, j) for i in range(n) for j in range(i + 1, n)])
+    return Graph(n, [(i, j) for i in range(n) for j in range(i + 1, n)])
 
 
 def cycle_graph(n):
-    return Graph.from_edges(n, [(i, (i + 1) % n) for i in range(n)])
+    return Graph(n, [(i, (i + 1) % n) for i in range(n)])
 
 
 def path_graph(n):
-    return Graph.from_edges(n, [(i, i + 1) for i in range(n - 1)])
+    return Graph(n, [(i, i + 1) for i in range(n - 1)])
 
 
-PETERSEN = Graph.from_edges(
+PETERSEN = Graph(
     10,
     [(i, (i + 1) % 5) for i in range(5)]
     + [(i, i + 5) for i in range(5)]
@@ -73,8 +73,8 @@ def brute_force_iso(g):
 
 def test_connected_predicates():
     assert is_connected(path_graph(5))
-    assert not is_connected(Graph.from_edges(4, [(0, 1), (2, 3)]))
-    assert is_connected(Graph.from_edges(1, []))
+    assert not is_connected(Graph(4, [(0, 1), (2, 3)]))
+    assert is_connected(Graph(1, []))
 
 
 def test_known_vertex_and_edge_connectivity():
@@ -87,13 +87,13 @@ def test_known_vertex_and_edge_connectivity():
     assert vertex_connectivity(PETERSEN) == 3
     assert edge_connectivity(PETERSEN) == 3
     # two triangles joined at vertex 2: cut vertex, but edge cut needs 2
-    bowtie = Graph.from_edges(5, [(0, 1), (0, 2), (1, 2), (2, 3), (2, 4), (3, 4)])
+    bowtie = Graph(5, [(0, 1), (0, 2), (1, 2), (2, 3), (2, 4), (3, 4)])
     assert vertex_connectivity(bowtie) == 1
     assert edge_connectivity(bowtie) == 2
 
 
 def test_disconnected_graph_measures():
-    g = Graph.from_edges(4, [(0, 1), (2, 3)])
+    g = Graph(4, [(0, 1), (2, 3)])
     assert vertex_connectivity(g) == 0
     assert edge_connectivity(g) == 0
     assert robustness(g) == 0
@@ -147,7 +147,7 @@ def test_vertex_connectivity_pair_reduction_against_brute_force():
     # 0, so only the pairs inside N(0), here (1, 3), see the cut; every pair
     # (0, t) has 4 disjoint paths.
     hub = [(0, v) for v in (1, 2, 3, 4)] + [(1, 2), (3, 4), (5, 6)]
-    g = Graph.from_edges(7, hub + [(s, v) for s in (5, 6) for v in (1, 2, 3, 4)])
+    g = Graph(7, hub + [(s, v) for s in (5, 6) for v in (1, 2, 3, 4)])
     assert connectivity._flow_vertex_connectivity(g) == 3
     assert vertex_connectivity(g) == brute_force_vertex_connectivity(g) == 3
 
@@ -172,7 +172,7 @@ def banded_graph(rng, n_max=14, b_max=4) -> Graph:
     n = int(rng.integers(1, n_max + 1))
     b = int(rng.integers(1, b_max + 1))
     p = float(rng.uniform())
-    return Graph.from_edges(n, [(i, j) for i in range(n) for j in range(i + 1, min(n, i + b + 1))
+    return Graph(n, [(i, j) for i in range(n) for j in range(i + 1, min(n, i + b + 1))
                                 if rng.uniform() < p])
 
 
@@ -201,7 +201,7 @@ def test_connectivity_dp_matches_oracles_on_every_small_platoon(monkeypatch):
 def test_connectivity_dp_matches_oracles_on_random_banded_graphs(monkeypatch):
     rng = np.random.default_rng(20)
     graphs = [banded_graph(rng) for _ in range(400)]
-    graphs += [Graph.from_edges(1, []), Graph.from_edges(2, []), Graph.from_edges(2, [(0, 1)])]
+    graphs += [Graph(1, []), Graph(2, []), Graph(2, [(0, 1)])]
     graphs += [complete_graph(n) for n in (3, 4, 5)]
     kinds = set()
     for g in graphs:
@@ -223,7 +223,7 @@ def test_connectivity_past_the_bandwidth_limit_runs_max_flow(monkeypatch):
     # far more than DP_BANDWIDTH_LIMIT in the vertex order
     order = np.random.default_rng(3).permutation(30)
     platoon = build_knn_platoon(PlatoonSpec(30, 3))
-    g = Graph.from_edges(30, [(int(order[i]), int(order[j])) for i, j in platoon.edges])
+    g = Graph(30, [(int(order[i]), int(order[j])) for i, j in platoon.edges])
     assert connectivity._bandwidth(g) > DP_BANDWIDTH_LIMIT
     calls = count_max_flows(monkeypatch)
     assert vertex_connectivity(g) == 3 and calls
@@ -232,10 +232,10 @@ def test_connectivity_past_the_bandwidth_limit_runs_max_flow(monkeypatch):
     calls.clear()
     assert vertex_connectivity(platoon) == edge_connectivity(platoon) == 3 and not calls
     # two such platoons side by side: disconnected, so neither route runs
-    pair = Graph.from_edges(60, [*g.edges, *((i + 30, j + 30) for i, j in g.edges)])
+    pair = Graph(60, [*g.edges, *((i + 30, j + 30) for i, j in g.edges)])
     assert vertex_connectivity(pair) == edge_connectivity(pair) == 0 and not calls
     # a cut vertex and a bridge, past the limit
-    hinged = Graph.from_edges(19, [(0, 9), (9, 18), (0, 18), (9, 1), (1, 2), (2, 9)]
+    hinged = Graph(19, [(0, 9), (9, 18), (0, 18), (9, 1), (1, 2), (2, 9)]
                               + [(v, v + 1) for v in range(2, 8)] + [(8, 10)]
                               + [(v, v + 1) for v in range(10, 17)])
     assert connectivity._bandwidth(hinged) > DP_BANDWIDTH_LIMIT
@@ -270,7 +270,7 @@ def test_r_reachable_examples():
 
 def test_robustness_against_brute_force():
     rng = np.random.default_rng(99)
-    graphs = [Graph.from_edges(1, [])] + [random_graph(rng, n_min=2, n_max=9) for _ in range(60)]
+    graphs = [Graph(1, [])] + [random_graph(rng, n_min=2, n_max=9) for _ in range(60)]
     for g in graphs:
         assert robustness(g) == brute_force_robustness(g), (g.n, g.edges)
     assert not all(is_connected(g) for g in graphs)
@@ -296,13 +296,13 @@ def test_robustness_known_values():
     assert robustness(complete_graph(6)) == 3  # K_n is ceil(n/2)-robust
     assert robustness(complete_graph(7)) == 4
     assert robustness(cycle_graph(6)) == 1
-    assert robustness(Graph.from_edges(2, [(0, 1)])) == 1
+    assert robustness(Graph(2, [(0, 1)])) == 1
     # two 4-cliques joined by a perfect matching: well connected but only
     # 1-robust (each clique refuses outside information)
     clique_a = [(i, j) for i in range(4) for j in range(i + 1, 4)]
     clique_b = [(i + 4, j + 4) for i, j in clique_a]
     matching = [(i, i + 4) for i in range(4)]
-    g = Graph.from_edges(8, clique_a + clique_b + matching)
+    g = Graph(8, clique_a + clique_b + matching)
     assert vertex_connectivity(g) == 4
     assert robustness(g) == 1
 
@@ -383,7 +383,7 @@ def test_iso_byte_table_headroom_on_complete_and_dense_graphs():
     for _ in range(30):
         n = int(rng.integers(14, 17))
         p = float(rng.uniform(0.7, 1.0))
-        g = Graph.from_edges(n, [(i, j) for i in range(n) for j in range(i + 1, n)
+        g = Graph(n, [(i, j) for i in range(n) for j in range(i + 1, n)
                                  if rng.uniform() < p])
         assert isoperimetric_constant(g)[0] == edge_sum_isoperimetric(g), (g.n, g.edges)
 
@@ -419,7 +419,7 @@ def test_iso_refuses_large_graphs():
     with pytest.raises(ExhaustiveLimitError, match="isoperimetric"):
         isoperimetric_constant(g)
     with pytest.raises(ValueError):
-        isoperimetric_constant(Graph.from_edges(1, []))
+        isoperimetric_constant(Graph(1, []))
 
 
 # ---------------------------------------------------------------- spectra

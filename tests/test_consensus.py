@@ -236,7 +236,7 @@ def _vectorised_runs():
     x0 = np.round(np.random.default_rng(4).uniform(0, 10, 12))  # integer values: many ties
     yield g, x0, [Adversary(5, Sinusoid(8.0, 0.3)), Adversary(6, Constant(-2.0))], 1, 200
     # vertex 0 a star hub of degree 6, vertex 7 isolated: rows of widths 0 to 6
-    star = Graph.from_edges(9, [(0, v) for v in range(1, 7)] + [(1, 2), (2, 3), (5, 8)])
+    star = Graph(9, [(0, v) for v in range(1, 7)] + [(1, 2), (2, 3), (5, 8)])
     zeros = np.array([0.0, -0.0, 0.0, -0.0, 1.0, 1.0, -1.0, 0.0, -0.0])
     for f in (0, 1, 2, 6):  # 6: every neighbour value may be trimmed
         yield star, zeros, [], f, 30
@@ -250,7 +250,7 @@ def _vectorised_runs():
         vehicles = rng.choice(n, size=int(rng.integers(0, min(3, n - 1) + 1)), replace=False)
         adversaries = [Adversary(int(v), STRATEGIES[int(rng.integers(4))]()) for v in vehicles]
         f, T = (int(x) for x in rng.integers(0, [5, 31]))
-        yield Graph.from_edges(n, edges), x0, adversaries, f, T
+        yield Graph(n, edges), x0, adversaries, f, T
 
 
 def test_run_wmsr_is_bitwise_equal_to_the_scalar_reference():

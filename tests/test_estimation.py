@@ -53,7 +53,7 @@ def test_random_weights_draw_the_support_row_major():
     for _ in range(40):
         n = int(rng.integers(1, 16))
         edges = [(i, j) for i in range(n) for j in range(i + 1, n) if rng.random() < rng.random()]
-        g, seed = Graph.from_edges(n, edges), int(rng.integers(1 << 32))
+        g, seed = Graph(n, edges), int(rng.integers(1 << 32))
         draw = np.random.default_rng(seed)
         want = np.zeros((n, n))
         for i in range(n):

@@ -172,25 +172,25 @@ def test_sweep_against_grid_oracle(n, k, kp, ku):
 def test_lambda2_is_exactly_zero_without_a_connected_graph():
     # eigvalsh can leave a residue such as 4e-17 for the second zero
     # eigenvalue, and hinf_closed_form would take it for a connected graph
-    assert build_formation(Graph.from_edges(1, []), 5.0, 10.0).lambda2 == 0.0
+    assert build_formation(Graph(1, []), 5.0, 10.0).lambda2 == 0.0
     for a in range(2, 9):
         for b in range(2, 9):
             edges = [(i, i + 1) for i in range(a + b - 1) if i != a - 1]  # two paths
-            assert build_formation(Graph.from_edges(a + b, edges), 5.0, 10.0).lambda2 == 0.0
+            assert build_formation(Graph(a + b, edges), 5.0, 10.0).lambda2 == 0.0
 
 
 def test_sweep_on_disconnected_graphs():
     # Each component's translation mode is unobservable, so the gain is the
     # worst component's: two P(3, 1) peak at w = 0 with 1 / (kp sqrt(1)) =
     # 0.5, which the grid only approaches from its 1e-3 rad/s floor.
-    two_paths = build_formation(Graph.from_edges(6, [(0, 1), (1, 2), (3, 4), (4, 5)]), 2.0, 3.0)
+    two_paths = build_formation(Graph(6, [(0, 1), (1, 2), (3, 4), (4, 5)]), 2.0, 3.0)
     exact = hinf_sweep(two_paths)
     assert abs(exact.value - 0.5) < 1e-12 and exact.frequency == 0.0
     ref = grid_hinf_sweep(two_paths)
     assert ref.value <= exact.value and exact.value - ref.value < 1e-6
     # P(4, 2) plus an isolated vehicle 4, on the underdamped branch
     edges = build_knn_platoon(PlatoonSpec(4, 2)).edges
-    with_isolated = build_formation(Graph.from_edges(5, edges), 4.0, 1.0)
+    with_isolated = build_formation(Graph(5, edges), 4.0, 1.0)
     closed, branch = hinf_closed_form(
         algebraic_connectivity(build_knn_platoon(PlatoonSpec(4, 2))), 4.0, 1.0)
     assert branch == BRANCH_UNDERDAMPED
@@ -203,9 +203,9 @@ def test_sweep_on_disconnected_graphs():
 
 
 def test_sweep_edge_cases():
-    edgeless = hinf_sweep(build_formation(Graph.from_edges(4, []), 1.0, 1.0))
+    edgeless = hinf_sweep(build_formation(Graph(4, []), 1.0, 1.0))
     assert (edgeless.value, edgeless.frequency, edgeless.grid_points) == (0.0, 0.0, 0)
-    single = hinf_sweep(build_formation(Graph.from_edges(2, [(0, 1)]), 1.0, 1.0))
+    single = hinf_sweep(build_formation(Graph(2, [(0, 1)]), 1.0, 1.0))
     # one edge: lambda = 2, lambda ku^2 / (2 kp) = 1, the branch boundary
     assert abs(single.value - hinf_closed_form(2.0, 1.0, 1.0)[0]) < 1e-12
 

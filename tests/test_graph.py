@@ -51,7 +51,7 @@ def test_matrix_views_agree_with_networkx():
     # laplacian, degrees and has_edge all read the edge list; networkx's
     # adjacency matrix is an independent reading of the same edges
     rng = np.random.default_rng(11)
-    graphs = [Graph.from_edges(1, [])] + [random_graph(rng, 2, 12) for _ in range(120)]
+    graphs = [Graph(1, [])] + [random_graph(rng, 2, 12) for _ in range(120)]
     connected = [len(components(g)) == 1 for g in graphs]
     assert 20 <= sum(connected) <= len(graphs) - 20  # both kinds are drawn
     for g in graphs:
@@ -93,7 +93,7 @@ def test_laplacian_is_incidence_gram():
 
 
 def test_incidence_orientation():
-    g = Graph.from_edges(4, [(2, 0), (1, 3)])
+    g = Graph(4, [(2, 0), (1, 3)])
     b = incidence(g)
     # canonical order: (0, 2) then (1, 3); head is the smaller index
     assert np.array_equal(b[:, 0], [1, 0, -1, 0])
@@ -136,7 +136,7 @@ def test_has_edge_checks_its_vertex_ids(bad):
 
 
 def test_edges_are_canonicalized():
-    g = Graph.from_edges(5, [(3, 1), (0, 2), (2, 1)])
+    g = Graph(5, [(3, 1), (0, 2), (2, 1)])
     assert g.edges == ((0, 2), (1, 2), (1, 3))
     assert g.has_edge(1, 3) and g.has_edge(3, 1)
     assert not g.has_edge(0, 4)
@@ -144,13 +144,13 @@ def test_edges_are_canonicalized():
 
 def test_graph_rejects_bad_edges():
     with pytest.raises(GraphFormatError, match="self-loop"):
-        Graph.from_edges(4, [(1, 1)])
+        Graph(4, [(1, 1)])
     with pytest.raises(GraphFormatError, match="out of range"):
-        Graph.from_edges(4, [(0, 4)])
+        Graph(4, [(0, 4)])
     with pytest.raises(GraphFormatError, match="duplicate"):
-        Graph.from_edges(4, [(0, 1), (1, 0)])
+        Graph(4, [(0, 1), (1, 0)])
     with pytest.raises(GraphFormatError):
-        Graph.from_edges(0, [])
+        Graph(0, [])
 
 
 def test_graph_rejects_booleans_as_vertex_ids():
@@ -159,10 +159,10 @@ def test_graph_rejects_booleans_as_vertex_ids():
         Graph(3, ((0, 1), (True, 2)))
     assert info.value.edge_index == 1
     with pytest.raises(GraphFormatError, match="pair of integers"):
-        Graph.from_edges(3, [(np.int64(0), False)])
+        Graph(3, [(np.int64(0), False)])
     with pytest.raises(GraphFormatError, match="vertex count"):
         Graph(True, ())
-    assert Graph.from_edges(3, [(np.int64(2), 1)]).edges == ((1, 2),)
+    assert Graph(3, [(np.int64(2), 1)]).edges == ((1, 2),)
 
 
 def test_platoon_spec_rejects_booleans_as_sizes():
@@ -204,7 +204,7 @@ def test_save_load_round_trip(tmp_path):
 
 
 def test_save_empty_graph(tmp_path):
-    g = Graph.from_edges(3, [])
+    g = Graph(3, [])
     path = tmp_path / "empty.json"
     save_graph(g, path)
     assert json.loads(path.read_text()) == {"n": 3, "edges": []}
@@ -266,6 +266,36 @@ def test_load_rejects_wrong_shape(tmp_path):
         load_graph(path)
 
 
+def test_load_reads_the_platoon_form_and_integral_numbers(tmp_path):
+    # a graph file holds any graph object a scenario may hold inline
+    path = tmp_path / "g.json"
+    path.write_text('{"platoon": [6.0, 2]}\n')
+    assert load_graph(path) == build_knn_platoon(PlatoonSpec(6, 2))
+    path.write_text('{"n": 4.0, "edges": [[0, 1.0], [2e0, 1], [3, 2]]}\n')
+    g = load_graph(path)
+    assert g == Graph(4, [(0, 1), (1, 2), (2, 3)]) and type(g.n) is int
+    assert all(type(v) is int for e in g.edges for v in e)
+    path.write_text('{"n": 4, "edges": [], "comment": "x"}\n')
+    with pytest.raises(GraphFormatError, match="and no other key"):
+        load_graph(path)
+
+
+def test_load_errors_name_the_file_and_the_line_under_any_spelling(tmp_path):
+    path = tmp_path / "g.json"
+    path.write_text('{\n  "n": 4,\n  "edges": [\n    [0, 1],\n    [2, 2.0]\n  ]\n}\n')
+    with pytest.raises(GraphFormatError, match=r"^.*g\.json: self-loop \[2, 2\] \(line 5\)$"):
+        load_graph(path)
+    # the second [1, 0], spelled [1.0, -0], sits on line 4
+    path.write_text('{"n": 3, "edges": [\n  [1, 0],\n  [0, 2],\n  [1.0, -0],\n  [2, 1]\n]}\n')
+    with pytest.raises(GraphFormatError, match=r"duplicate edge \[1, 0\] \(line 4\)$"):
+        load_graph(path)
+    for platoon in ("[6, 6]", "[0, 1]", "[6]", "[6, 2.5]", "6"):
+        path.write_text(f'{{"platoon": {platoon}}}\n')
+        with pytest.raises(GraphFormatError) as info:
+            load_graph(path)
+        assert str(info.value).startswith(f"{path}: "), str(info.value)
+
+
 def test_load_rejects_booleans_as_vertex_ids(tmp_path):
     path = tmp_path / "g.json"
     path.write_text('{"n": 3, "edges": [[true, 0], [1, 2]]}\n')
@@ -284,7 +314,7 @@ def test_load_locates_only_the_failing_edge(tmp_path, monkeypatch):
     monkeypatch.setattr(graph_module, "_locate_line", refuse)
     n = 8001
     path = tmp_path / "path.json"
-    save_graph(Graph.from_edges(n, [(i, i + 1) for i in range(n - 1)]), path)
+    save_graph(Graph(n, [(i, i + 1) for i in range(n - 1)]), path)
     g = load_graph(path)
     assert (g.n, g.m) == (n, n - 1) and g.edges[-1] == (n - 2, n - 1)
     monkeypatch.undo()

@@ -58,7 +58,6 @@ _EXPORTS = {
         "hinf_closed_form",
         "hinf_grid",
         "hinf_sweep",
-        "modal_peak_frequency",
         "simulate_formation",
     ),
     "graph": (

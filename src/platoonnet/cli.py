@@ -732,10 +732,10 @@ def load_formation_config(path: str):
     return system, T, h, record_every, dist_cfg
 
 
-def _build_disturbance(system, cfg: dict):
+def _build_disturbance(system, cfg: dict, peak_frequency: float):
     """The disturbance of a formation config and its resolved form for the
-    manifest.  A "peak" frequency that resolves to zero (static-gain branch)
-    is a step of amplitude cos(phase); a numeric 0 follows the formula."""
+    manifest.  "peak" is the closed form's peak_frequency, and where that is 0
+    (static-gain branch) a step of amplitude cos(phase); a numeric 0 follows the formula."""
     if cfg["kind"] == "none":
         return None, {"kind": "none"}
     vehicle = _vehicle(cfg.get("vehicle", 0), system.graph.n, "config", ("disturbance", "vehicle"))
@@ -744,7 +744,7 @@ def _build_disturbance(system, cfg: dict):
     if cfg["kind"] == "sinusoid":
         omega = cfg.get("omega", "peak")
         peak = omega == "peak"
-        omega = modal_peak_frequency(system.lambda2, system.kp, system.ku) if peak else float(omega)
+        omega = peak_frequency if peak else float(omega)
         phase = float(cfg.get("phase", 0.0))
         if peak and omega == 0.0:
             resolved.update(kind="step", amplitude=amplitude * math.cos(phase))
@@ -763,8 +763,8 @@ def cmd_formation(args) -> int:
     _bind("formation")
     system, T, h, record_every, dist_cfg = load_formation_config(args.config)
     # refuses a graph without a closed form (lambda2 = 0) before simulating it
-    value, branch = hinf_closed_form(system.lambda2, system.kp, system.ku)
-    disturbance, resolved = _build_disturbance(system, dist_cfg)
+    value, branch, peak_frequency = hinf_closed_form(system.lambda2, system.kp, system.ku)
+    disturbance, resolved = _build_disturbance(system, dist_cfg, peak_frequency)
     config = {
         "config": args.config,
         "graph_n": system.graph.n,

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graph import Graph, _vertex, neighbors
+from .graph import Graph, _is_int, _vertex, neighbors
 
 
 class Constant:
@@ -120,8 +120,8 @@ def run_wmsr(
     n = g.n
     if f < 0:
         raise ValueError("f must be >= 0")
-    if T < 0:
-        raise ValueError("T must be >= 0")
+    if not _is_int(T) or T < 0:
+        raise ValueError(f"T must be >= 0 and an integer, got {T!r}")
     x0 = np.asarray(x0, dtype=np.float64)
     if x0.shape != (n,):
         raise ValueError(f"x0 must have shape ({n},)")

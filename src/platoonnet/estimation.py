@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graph import Graph, _vehicle_id, _vertex, laplacian, neighbors
+from .graph import Graph, _is_int, _vehicle_id, _vertex, laplacian, neighbors
 
 
 class ModelMismatchError(RuntimeError):
@@ -74,11 +74,13 @@ class FaultScenario:
         if len(set(faulty)) != len(faulty):
             raise ValueError("duplicate faulty vehicles")
         object.__setattr__(self, "faulty", faulty)
-        if self.horizon < 1:
-            raise ValueError("horizon must be >= 1")
+        if not _is_int(self.horizon) or self.horizon < 1:
+            raise ValueError(f"horizon must be >= 1 and an integer, got {self.horizon!r}")
         for (v, k) in self.phi:
-            if v not in self.faulty:
+            if _vehicle_id(v) not in self.faulty:
                 raise ValueError(f"phi entry for vehicle {v} not in faulty set {self.faulty}")
+            if not _is_int(k):
+                raise ValueError(f"phi step must be an integer, got {k!r}")
             if not 0 <= k < self.horizon:
                 raise ValueError(f"phi step {k} outside 0..{self.horizon - 1}")
 

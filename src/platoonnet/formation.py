@@ -94,33 +94,25 @@ def build_formation(g: Graph, kp: float, ku: float, d0: float = 10.0) -> Formati
     return FormationSystem(graph=g, kp=float(kp), ku=float(ku), d0=float(d0))
 
 
-def hinf_closed_form(lambda2: float, kp: float, ku: float) -> tuple[float, str]:
-    """Closed-form worst-case gain for one connected formation.
+def hinf_closed_form(lambda2: float, kp: float, ku: float) -> tuple[float, str, float]:
+    """Closed-form worst-case gain for one connected formation, its branch
+    and the frequency at which the gain peaks.
 
     Two branches, continuous at lambda2 = 2 kp / ku^2:
       * lambda2 ku^2 / (2 kp) <= 1 (resonant peak at a positive frequency):
             2 / (ku lambda2 sqrt(4 kp - ku^2 lambda2))
+        at sqrt(kp lambda2 - ku^2 lambda2^2 / 2), clamped at 0 against rounding;
       * otherwise (gain peaks at zero frequency):
-            1 / (kp sqrt(lambda2))
+            1 / (kp sqrt(lambda2)), at frequency 0.
     """
-    if lambda2 <= 0:
-        raise ValueError("lambda2 must be positive (connected graph)")
+    if not 0 < lambda2 < math.inf:  # false for NaN
+        raise ValueError("lambda2 must be positive (connected graph) and finite")
     _check_gains(kp, ku)
     if lambda2 * ku * ku / (2.0 * kp) <= 1.0:
-        return 2.0 / (ku * lambda2 * math.sqrt(4.0 * kp - ku * ku * lambda2)), BRANCH_UNDERDAMPED
-    return 1.0 / (kp * math.sqrt(lambda2)), BRANCH_STATIC
-
-
-_ZERO_MODE_TOL = 1e-9
-
-
-def modal_peak_frequency(lam: float, kp: float, ku: float) -> float:
-    """Frequency of the single-mode gain peak: sqrt(kp lam - ku^2 lam^2 / 2)
-    when positive (underdamped branch), else 0 (peak at DC)."""
-    if lam <= _ZERO_MODE_TOL:
-        return 0.0
-    arg = kp * lam - 0.5 * ku * ku * lam * lam
-    return math.sqrt(arg) if arg > 0 else 0.0
+        gain = 2.0 / (ku * lambda2 * math.sqrt(4.0 * kp - ku * ku * lambda2))
+        peak = math.sqrt(max(kp * lambda2 - 0.5 * ku * ku * lambda2 * lambda2, 0.0))
+        return gain, BRANCH_UNDERDAMPED, peak
+    return 1.0 / (kp * math.sqrt(lambda2)), BRANCH_STATIC, 0.0
 
 
 @dataclass(frozen=True)
@@ -289,8 +281,8 @@ def simulate_formation(
     truncation error beyond rounding; h only sets the sampling grid.
     """
     n = system.graph.n
-    if h <= 0 or T <= 0:
-        raise ValueError("T and h must be positive")
+    if not (0 < h < math.inf and 0 < T < math.inf):  # false for NaN
+        raise ValueError("T and h must be positive and finite")
     if record_every < 1:
         raise ValueError("record_every must be >= 1")
     x_eq = system.equilibrium_state
@@ -359,7 +351,7 @@ def hinf_grid(pairs, kp: float, ku: float, spot_check=frozenset()) -> list[HinfG
         spec = PlatoonSpec(n, k)
         system = build_formation(build_knn_platoon(spec), kp, ku)
         lam2 = system.lambda2
-        value, branch = hinf_closed_form(lam2, kp, ku)
+        value, branch, _ = hinf_closed_form(lam2, kp, ku)
         lower, upper = lambda2_bounds(spec)
         sweep_val = hinf_sweep(system).value if (n, k) in spot_check else None
         rows.append(

@@ -14,6 +14,10 @@ from functools import cached_property
 
 import numpy as np
 
+# Largest vertex count a Graph or PlatoonSpec takes.  The bitmask adjacency of
+# a platoon holds about n^2 / 16 bytes: 275 MiB for P(2^16, 3).
+MAX_VERTICES = 1 << 16
+
 
 class GraphFormatError(ValueError):
     """A graph file, graph object, edge list or platoon spec breaks its contract.
@@ -84,6 +88,8 @@ class Graph:
     def __post_init__(self):
         if not _is_int(self.n) or self.n < 1:
             raise GraphFormatError(f"vertex count must be a positive integer, got {self.n!r}")
+        if self.n > MAX_VERTICES:
+            raise GraphFormatError(f"vertex count must be at most {MAX_VERTICES}")
         object.__setattr__(self, "n", int(self.n))
         canon = _canonical_edges(self.n, self.edges)
         object.__setattr__(self, "edges", canon)
@@ -118,6 +124,8 @@ class PlatoonSpec:
     def __post_init__(self):
         if not _is_int(self.n) or self.n < 1:
             raise GraphFormatError(f"platoon size must be a positive integer, got {self.n!r}")
+        if self.n > MAX_VERTICES:
+            raise GraphFormatError(f"platoon size must be at most {MAX_VERTICES}")
         if not _is_int(self.k) or not (1 <= self.k <= self.n - 1):
             raise GraphFormatError(
                 f"neighbor range k must satisfy 1 <= k <= n-1, got k={self.k!r} for n={self.n}"

@@ -22,15 +22,11 @@ from platoonnet.estimation import (
     WeightMatrix,
     observation_model,
 )
-from platoonnet.formation import (
-    _ZERO_MODE_TOL,
-    FormationSystem,
-    FormationTrace,
-    SweepResult,
-    hinf_closed_form,
-    modal_peak_frequency,
-)
+from platoonnet.formation import FormationSystem, FormationTrace, SweepResult, hinf_closed_form
 from platoonnet.graph import Graph, degrees
+
+# Laplacian eigenvalues at or below this are a component's translation mode
+ZERO_MODE_TOL = 1e-9
 
 
 def random_connected_graph(rng, n_min=4, n_max=10, avoid_complete=True) -> Graph:
@@ -240,16 +236,16 @@ def f_mat(system: FormationSystem) -> np.ndarray:
 def modal_hinf(lam: float, kp: float, ku: float) -> float:
     """Worst-case gain of the single-mode transfer
     sqrt(lam) / (s^2 + ku lam s + kp lam); zero for the lam = 0 mode."""
-    if lam < -_ZERO_MODE_TOL:
+    if lam < -ZERO_MODE_TOL:
         raise ValueError("Laplacian eigenvalues cannot be negative")
-    if lam <= _ZERO_MODE_TOL:
+    if lam <= ZERO_MODE_TOL:
         return 0.0
     return hinf_closed_form(lam, kp, ku)[0]
 
 
 def modal_gain(lam: float, kp: float, ku: float, omega: float) -> float:
     """|sqrt(lam) / ((jw)^2 + ku lam jw + kp lam)| at w = omega."""
-    if lam <= _ZERO_MODE_TOL:
+    if lam <= ZERO_MODE_TOL:
         return 0.0
     den = complex(kp * lam - omega * omega, ku * lam * omega)
     return math.sqrt(lam) / abs(den)
@@ -320,9 +316,11 @@ def grid_hinf_sweep(system, output=None, n_log=2000, n_window=50, refine=True) -
         return float(np.linalg.svd(out @ x, compute_uv=False)[0])
 
     parts = [np.geomspace(1e-3, 1e3, n_log)]
+    kp, ku = system.kp, system.ku
     for lam in lap_eigenvalues(system):
-        wbar = modal_peak_frequency(float(lam), system.kp, system.ku)
-        if wbar > 0:
+        arg = kp * lam - 0.5 * ku * ku * lam * lam  # squared peak of an underdamped mode
+        if lam > ZERO_MODE_TOL and arg > 0:
+            wbar = math.sqrt(arg)
             parts.append(np.linspace(0.8 * wbar, 1.2 * wbar, n_window))
     grid = np.unique(np.concatenate(parts))
     grid = grid[grid > 0]

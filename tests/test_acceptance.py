@@ -34,7 +34,6 @@ from platoonnet.formation import (
     build_formation,
     hinf_closed_form,
     hinf_sweep,
-    modal_peak_frequency,
     simulate_formation,
 )
 from platoonnet.graph import Graph, PlatoonSpec, build_knn_platoon, degrees
@@ -252,7 +251,7 @@ def test_criterion_06_closed_form_vs_sweep_and_branch_continuity():
             g = build_knn_platoon(PlatoonSpec(n, k))
             lam2 = algebraic_connectivity(g)
             for kp, ku in gain_pairs:
-                closed, _ = hinf_closed_form(lam2, kp, ku)
+                closed, _, _ = hinf_closed_form(lam2, kp, ku)
                 swept = hinf_sweep(build_formation(g, kp, ku))
                 worst_rel = max(worst_rel, abs(swept.value - closed) / closed)
                 points += 1
@@ -275,7 +274,7 @@ def test_criterion_07_gain_levels_for_twenty_vehicles():
     values = {}
     for k in (1, 2, 4):
         lam2 = algebraic_connectivity(build_knn_platoon(PlatoonSpec(20, k)))
-        values[k], _ = hinf_closed_form(lam2, 5.0, 10.0)
+        values[k] = hinf_closed_form(lam2, 5.0, 10.0)[0]
     ok = 1.85 <= values[1] <= 2.05 and values[2] < 1.0 and values[4] < 0.5
     detail = (
         f"n=20, kp=5, ku=10: k=1 -> {values[1]:.3f} (want [1.85, 2.05]), "
@@ -352,8 +351,7 @@ def test_criterion_09_time_domain_ratio_bounded_by_closed_form():
     g = build_knn_platoon(PlatoonSpec(10, 2))
     system = build_formation(g, 5.0, 10.0)
     lam2 = algebraic_connectivity(g)
-    closed, branch = hinf_closed_form(lam2, 5.0, 10.0)
-    omega = modal_peak_frequency(lam2, 5.0, 10.0)
+    closed, branch, omega = hinf_closed_form(lam2, 5.0, 10.0)
     # cos form so that a zero peak frequency degenerates to the constant
     # worst-case input instead of the zero signal
     amplitude = 1.0

@@ -1,6 +1,8 @@
 """Argument checks of the library entry points that the CLI never trips,
 because it validates its documents first."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -13,7 +15,7 @@ from platoonnet.estimation import (
     recover_initial_state,
     simulate_faulty,
 )
-from platoonnet.formation import Disturbance, build_formation, simulate_formation
+from platoonnet.formation import Disturbance, build_formation, hinf_closed_form, simulate_formation
 from platoonnet.graph import PlatoonSpec, build_knn_platoon
 
 G = build_knn_platoon(PlatoonSpec(5, 2))
@@ -31,7 +33,24 @@ SYSTEM = build_formation(G, 5.0, 10.0)
     (lambda: simulate_formation(SYSTEM, T=1.0, record_every=0), r"^record_every must be >= 1$"),
     (lambda: simulate_formation(SYSTEM, Disturbance(cosine=np.ones(4)), T=1.0),
      r"^disturbance parts must have shape \(5,\)$"),
-], ids=["wmsr-f", "faulty-x0", "stacked-length", "recover-f", "record-every", "disturbance"])
+    (lambda: hinf_closed_form(math.nan, 5.0, 10.0), r"^lambda2 must be positive"),
+    (lambda: hinf_closed_form(math.inf, 5.0, 10.0), r"^lambda2 must be positive"),
+    (lambda: FaultScenario(faulty=(3,), phi={(3, 0.5): 9.0}, horizon=3),
+     r"^phi step must be an integer, got 0\.5$"),
+    (lambda: FaultScenario(faulty=(1,), phi={(True, 0): 9.0}, horizon=3),
+     r"^vehicle id must be an integer, got True$"),
+    (lambda: FaultScenario(faulty=(), phi={}, horizon=True),
+     r"^horizon must be >= 1 and an integer, got True$"),
+    (lambda: FaultScenario(faulty=(), phi={}, horizon=2.5),
+     r"^horizon must be >= 1 and an integer, got 2\.5$"),
+    (lambda: run_wmsr(G, np.zeros(5), [], f=0, T=2.5),
+     r"^T must be >= 0 and an integer, got 2\.5$"),
+    (lambda: simulate_formation(SYSTEM, T=math.inf), r"^T and h must be positive and finite$"),
+    (lambda: simulate_formation(SYSTEM, T=1.0, h=math.nan),
+     r"^T and h must be positive and finite$"),
+], ids=["wmsr-f", "faulty-x0", "stacked-length", "recover-f", "record-every", "disturbance",
+        "lambda2-nan", "lambda2-inf", "phi-step", "phi-vehicle-bool", "horizon-bool",
+        "horizon-float", "wmsr-T", "formation-T", "formation-h"])
 def test_library_argument_checks(call, message):
     with pytest.raises(ValueError, match=message):
         call()

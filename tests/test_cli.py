@@ -107,6 +107,9 @@ def test_analyze_bad_platoon_argument(capsys):
     assert main(["analyze", "--platoon", "10"]) == 2
     assert main(["analyze", "--platoon", "10,0"]) == 2
     assert "k must satisfy" in capsys.readouterr().err
+    assert main(["analyze", "--platoon", "65537,3"]) == 2
+    assert capsys.readouterr().err == (
+        "error: --platoon expects 'n,k' integers: platoon size must be at most 65536\n")
 
 
 def test_analyze_refuses_large_exhaustive_with_fallback(tmp_path, capsys):
@@ -503,6 +506,11 @@ GRAPH_OBJECTS = [
     ({"platoon": [6, 6]}, "/graph"),  # k >= n
     ({"platoon": [6, 2], "n": 6}, "/graph"),  # both forms mixed
     ({"platoon": [6, 2], "n": 6, "edges": []}, "/graph"),
+    # past graph.MAX_VERTICES, before any vertex-sized structure is built
+    ({"n": 1e300, "edges": []}, "/graph"),
+    ({"n": 10**21, "edges": []}, "/graph"),
+    ({"n": 65537, "edges": []}, "/graph"),
+    ({"platoon": [65537, 3]}, "/graph"),
     # integral numbers are integers, in files too
     ({"n": 4.0, "edges": [[0, 1.0], [1, 2], [2.0, 3]]}, None),
     ({"platoon": [4.0, 1]}, None),
@@ -647,6 +655,31 @@ def test_formation_fixture_outputs(tmp_path):
     # peak frequency of this configuration is zero, so the sinusoid request
     # resolves to a step disturbance
     assert manifest["config"]["disturbance"]["kind"] == "step"
+
+
+@pytest.mark.parametrize("case", ["resonant", "fixture"])
+def test_formation_peak_is_the_closed_form_frequency(tmp_path, case):
+    config = SCENARIOS / "formation-worst-case.json"
+    if case == "resonant":  # P(12,2) with kp = 8, ku = 1 is in the resonant branch
+        config = tmp_path / "resonant.json"
+        config.write_text(json.dumps({
+            "graph": {"platoon": [12, 2]}, "kp": 8.0, "ku": 1.0, "T": 1.0,
+            "disturbance": {"kind": "sinusoid", "vehicle": 3, "phase": 0.4, "omega": "peak"}}))
+    assert main(["formation", "--config", str(config), "--out", str(tmp_path / "out")]) == 0
+    manifest = read_manifest(tmp_path / "out")
+    res, disturbance = manifest["results"], manifest["config"]["disturbance"]
+    gain, branch, peak = platoonnet.hinf_closed_form(res["lambda2"], manifest["config"]["kp"],
+                                                     manifest["config"]["ku"])
+    assert (res["hinf_closed_form"], res["branch"]) == (gain, branch)
+    if case == "resonant":
+        assert branch == "underdamped-peak" and peak > 0
+        assert disturbance == {"kind": "sinusoid", "vehicle": 3, "amplitude": 1.0,
+                               "omega": peak, "phase": 0.4}
+    else:
+        cfg = json.loads(config.read_text())["disturbance"]
+        assert branch == "static-gain" and peak == 0.0
+        assert disturbance == {"kind": "step", "vehicle": cfg["vehicle"],
+                               "amplitude": cfg["amplitude"] * math.cos(cfg.get("phase", 0.0))}
 
 
 def test_formation_json_format(tmp_path):
@@ -888,7 +921,8 @@ def library_trace_files(fixture: str, fmt: str) -> list[str]:
                                sort_keys=True) + "\n"]
         return [csv_writer_rows(header, list(zip(*[(*row[:3], int(row[3])) for row in rows])))]
     system, T, h, record_every, dist_cfg = cli.load_formation_config(path)
-    disturbance, _ = cli._build_disturbance(system, dist_cfg)
+    peak_frequency = cli.hinf_closed_form(system.lambda2, system.kp, system.ku)[2]
+    disturbance, _ = cli._build_disturbance(system, dist_cfg, peak_frequency)
     trace = cli.simulate_formation(system, disturbance=disturbance, T=T, h=h,
                                    record_every=record_every)
     t, edges = trace.t.tolist(), [f"{i}-{j}" for i, j in system.graph.edges]

@@ -11,7 +11,6 @@ from platoonnet.formation import (
     hinf_closed_form,
     hinf_grid,
     hinf_sweep,
-    modal_peak_frequency,
     simulate_formation,
 )
 import platoonnet.formation as formation
@@ -84,22 +83,35 @@ def test_non_finite_gains_are_rejected(bad):
 
 
 def test_hinf_closed_form_example():
-    value, branch = hinf_closed_form(1.0, 5.0, 10.0)
+    value, branch, peak = hinf_closed_form(1.0, 5.0, 10.0)
     assert branch == BRANCH_STATIC
     assert value == pytest.approx(0.2, abs=1e-15)
+    assert peak == 0.0
 
 
 def test_hinf_branch_selection_and_continuity():
     kp, ku = 5.0, 10.0
     boundary = 2.0 * kp / (ku * ku)  # 0.1
-    v_under, b_under = hinf_closed_form(boundary, kp, ku)
-    # at the boundary both formulas coincide exactly
+    v_under, b_under, w_at = hinf_closed_form(boundary, kp, ku)
+    # at the boundary both formulas coincide exactly, and the peak reaches 0
     static_value = 1.0 / (kp * math.sqrt(boundary))
     assert b_under == BRANCH_UNDERDAMPED
     assert abs(v_under - static_value) < 1e-12
-    _, b_low = hinf_closed_form(boundary * 0.999, kp, ku)
-    _, b_high = hinf_closed_form(boundary * 1.001, kp, ku)
+    assert 0.0 <= w_at < 1e-7
+    low, high = boundary * 0.999, boundary * 1.001
+    _, b_low, w_low = hinf_closed_form(low, kp, ku)
+    _, b_high, w_high = hinf_closed_form(high, kp, ku)
     assert b_low == BRANCH_UNDERDAMPED and b_high == BRANCH_STATIC
+    # sqrt(kp lam (1 - lam / boundary)): the resonant peak, written another way
+    assert w_low == pytest.approx(math.sqrt(kp * low * (1.0 - 0.999)), rel=1e-9)
+    assert w_high == 0.0
+    # in the rounding band the peak frequency follows the branch test: the
+    # test says static-gain where kp lam - ku^2 lam^2 / 2 rounds to +4.4e-16,
+    # and the resonant side clamps it where it rounds to -2.2e-16 (no NaN)
+    for lam, g_p, g_u, branch, rounded in ((0.30851831169525845, 7.948, 7.178, BRANCH_STATIC, 1),
+                                           (0.44444444444444453, 2.0, 3.0, BRANCH_UNDERDAMPED, -1)):
+        assert math.copysign(1, g_p * lam - 0.5 * g_u * g_u * lam * lam) == rounded
+        assert hinf_closed_form(lam, g_p, g_u)[1:] == (branch, 0.0)
     with pytest.raises(ValueError):
         hinf_closed_form(0.0, kp, ku)
     with pytest.raises(ValueError):
@@ -111,21 +123,21 @@ def test_closed_form_equals_worst_mode():
     for n, k in [(6, 1), (10, 2), (12, 5)]:
         sys_ = make_system(n, k)
         gains = [modal_hinf(float(l), sys_.kp, sys_.ku) for l in lap_eigenvalues(sys_)]
-        closed, _ = hinf_closed_form(sys_.lambda2, sys_.kp, sys_.ku)
+        closed, _, _ = hinf_closed_form(sys_.lambda2, sys_.kp, sys_.ku)
         assert max(gains) == pytest.approx(closed, rel=1e-12)
 
 
-def test_modal_peak_frequency_is_local_max():
+def test_closed_form_peak_frequency_is_local_max():
     kp, ku = 5.0, 10.0
     lam = 0.05  # well inside the underdamped branch (boundary at 0.1)
-    wbar = modal_peak_frequency(lam, kp, ku)
+    wbar = hinf_closed_form(lam, kp, ku)[2]
     assert wbar > 0
     g0 = modal_gain(lam, kp, ku, wbar)
     assert g0 == pytest.approx(modal_hinf(lam, kp, ku), rel=1e-12)
     for w in (0.9 * wbar, 1.1 * wbar):
         assert modal_gain(lam, kp, ku, w) < g0
     # static branch peaks at zero frequency
-    assert modal_peak_frequency(1.0, kp, ku) == 0.0
+    assert hinf_closed_form(1.0, kp, ku)[2] == 0.0
     assert modal_hinf(0.0, kp, ku) == 0.0
 
 
@@ -135,7 +147,7 @@ def test_modal_peak_frequency_is_local_max():
 def test_sweep_matches_closed_form():
     for n, k in [(10, 2), (20, 1)]:
         sys_ = make_system(n, k)
-        closed, _ = hinf_closed_form(sys_.lambda2, sys_.kp, sys_.ku)
+        closed, _, _ = hinf_closed_form(sys_.lambda2, sys_.kp, sys_.ku)
         sweep = hinf_sweep(sys_)
         assert abs(sweep.value - closed) / closed < 1e-4, (n, k)
 
@@ -160,7 +172,7 @@ def test_sweep_against_grid_oracle(n, k, kp, ku):
     # the full realization's rounding near its singular w -> 0 end (2e-9 at
     # K5, kp=10, ku=2).  The grid stays below by < 2e-6 (its 1e-3 rad/s floor).
     assert ref.value * (1 - 1e-8) <= exact.value <= ref.value * (1 + 1e-5)
-    closed, branch = hinf_closed_form(sys_.lambda2, kp, ku)
+    closed, branch, _ = hinf_closed_form(sys_.lambda2, kp, ku)
     assert abs(exact.value - closed) / closed < 1e-12
     if branch == BRANCH_STATIC:
         assert exact.frequency == 0.0
@@ -191,7 +203,7 @@ def test_sweep_on_disconnected_graphs():
     # P(4, 2) plus an isolated vehicle 4, on the underdamped branch
     edges = build_knn_platoon(PlatoonSpec(4, 2)).edges
     with_isolated = build_formation(Graph(5, edges), 4.0, 1.0)
-    closed, branch = hinf_closed_form(
+    closed, branch, _ = hinf_closed_form(
         algebraic_connectivity(build_knn_platoon(PlatoonSpec(4, 2))), 4.0, 1.0)
     assert branch == BRANCH_UNDERDAMPED
     exact = hinf_sweep(with_isolated)
@@ -277,13 +289,13 @@ def test_exact_stepping_matches_rk4_reference(case):
     elif case == "step":
         disturbance = Disturbance(constant=basis)
     elif case == "peak-sinusoid":
-        omega = modal_peak_frequency(sys_.lambda2, kp, ku)
+        omega = hinf_closed_form(sys_.lambda2, kp, ku)[2]
         assert omega > 0
         phase = 0.4
         disturbance = Disturbance(sine=basis * math.cos(phase), cosine=basis * math.sin(phase),
                                   omega=omega)
     else:
-        omega = modal_peak_frequency(sys_.lambda2, kp, ku)
+        omega = hinf_closed_form(sys_.lambda2, kp, ku)[2]
         disturbance = Disturbance(cosine=basis, omega=omega)
     got = simulate_formation(sys_, disturbance=disturbance, T=4.0, h=1e-3, x0=x0, record_every=50)
     # RK4 at h = 1e-3 is itself off by ~1e-8 after the kick; half the step is 16x closer

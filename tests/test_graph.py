@@ -188,6 +188,16 @@ def test_platoon_spec_validation():
     assert (spec.n, spec.k) == (6, 2)
 
 
+def test_vertex_count_ceiling():
+    # checked before build_knn_platoon lists the n k edges or Graph its masks
+    assert graph_module.MAX_VERTICES == 65536
+    assert PlatoonSpec(65536, 3).n == Graph(65536, ()).n == 65536
+    with pytest.raises(GraphFormatError, match="^platoon size must be at most 65536$"):
+        PlatoonSpec(65537, 3)
+    with pytest.raises(GraphFormatError, match="^vertex count must be at most 65536$"):
+        Graph(10**21, ())
+
+
 # ---------------------------------------------------------------- file I/O
 
 

@@ -12,7 +12,7 @@ Every run writes `<command>-<hash-of-config>.<ext>` plus `manifest.json` into
 --out (default: current directory); a CSV formation run writes two files,
 `formation-<hash>-vehicles.csv` and `formation-<hash>-edges.csv`.  Identical
 (config, seed) gives bitwise-identical outputs.  Exit codes: 0 success,
-2 validation error, 3 refused exhaustive computation.
+2 validation error, 3 refused exhaustive computation or not enough memory.
 """
 
 from __future__ import annotations
@@ -30,7 +30,7 @@ import numpy as np
 
 from . import _EXPORTS, _MODULE_OF, __version__
 from .graph import (Graph, GraphFormatError, PlatoonSpec, build_knn_platoon, graph_from_json,
-                    load_graph, read_json)
+                    load_graph, platoon_spec, read_json)
 
 
 def _bind(module: str) -> None:
@@ -570,13 +570,13 @@ def cmd_analyze(args) -> int:
         "exhaustive_limit": args.exhaustive_limit,
     }
     try:
-        report = connectivity_report(g, limit=args.exhaustive_limit, platoon=platoon,
+        report = connectivity_report(g, limit=args.exhaustive_limit,
                                      require_robustness=args.robustness, require_iso=args.iso)
     except ExhaustiveLimitError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        if platoon is not None:
-            closed = knn_closed_forms(platoon)
-            print(f"closed-form values for P({platoon.n},{platoon.k}): "
+        if (spec := platoon_spec(g)) is not None:
+            closed = knn_closed_forms(spec)
+            print(f"closed-form values for P({spec.n},{spec.k}): "
                   f"robustness={closed.robustness}, "
                   f"iso={closed.iso.numerator}/{closed.iso.denominator}", file=sys.stderr)
             for measure, note in (("robustness", closed.robustness_note),
@@ -922,6 +922,9 @@ def main(argv=None) -> int:
     except ValueError as exc:  # ValidationFailure and GraphFormatError among them
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
+    except MemoryError as exc:  # a dense n x n matrix past the machine's memory, say
+        print(f"error: not enough memory: {exc}", file=sys.stderr)
+        return EXIT_REFUSED
 
 
 if __name__ == "__main__":

@@ -22,10 +22,12 @@ from .graph import (
     Graph,
     PlatoonSpec,
     algebraic_connectivity,
+    bandwidth,
     components,
     degrees,
     lambda2_bounds,
     neighbors,
+    platoon_spec,
 )
 
 ROBUSTNESS_LIMIT = 19
@@ -147,12 +149,6 @@ def _flow_edge_connectivity(g: Graph) -> int:
     return best
 
 
-def _bandwidth(g: Graph) -> int:
-    """Largest j - i over the edges (i, j): every edge joins two vertices at
-    most this far apart in the vertex order."""
-    return max((j - i for i, j in g.edges), default=0)
-
-
 def _window_min_cut(g: Graph, b: int, vertex_cost: np.ndarray, edge_cost: np.ndarray) -> int:
     """Least cost of a labelling of the vertices that uses both labels A and
     B: the sum of vertex_cost[label] over the vertices plus
@@ -220,7 +216,7 @@ def _connectivity(g: Graph, costs, flow) -> int:
         return n - 1
     if not is_connected(g):
         return 0
-    b = _bandwidth(g)
+    b = bandwidth(g)
     if b <= DP_BANDWIDTH_LIMIT:
         return _window_min_cut(g, b, *costs)
     return flow(g)
@@ -414,9 +410,9 @@ def connectivity_report(
     limit: int | None = None,
     require_robustness: bool = False,
     require_iso: bool = False,
-    platoon: PlatoonSpec | None = None,
 ) -> ConnectivityReport:
-    """Measure every connectivity quantity of g that fits within the limit.
+    """Measure every connectivity quantity of g that fits within the limit,
+    with the lambda2 bracket of P(n, k) when platoon_spec finds that g is one.
 
     `limit` caps both exhaustive measures, up to EXHAUSTIVE_CEILING; None
     keeps each at its default.
@@ -436,6 +432,7 @@ def connectivity_report(
         iso, _ = isoperimetric_constant(g, limit=iso_limit)
     else:
         iso_note = "skipped: n too large"
+    spec = platoon_spec(g)
     return ConnectivityReport(
         n=g.n,
         vertex_conn=vertex_connectivity(g),
@@ -445,5 +442,5 @@ def connectivity_report(
         robustness_note=rb_note,
         iso=iso,
         iso_note=iso_note,
-        lambda2_bounds=lambda2_bounds(platoon) if platoon is not None else None,
+        lambda2_bounds=None if spec is None else lambda2_bounds(spec),
     )

@@ -141,6 +141,19 @@ def build_knn_platoon(spec: PlatoonSpec) -> Graph:
     return Graph(n, tuple(edges))
 
 
+def bandwidth(g: Graph) -> int:
+    """Largest j - i over the edges (i, j): every edge joins two vertices at
+    most this far apart in the vertex order."""
+    return max((j - i for i, j in g.edges), default=0)
+
+
+def platoon_spec(g: Graph) -> PlatoonSpec | None:
+    """The spec build_knn_platoon turns into g, or None.  With k the bandwidth,
+    g lies inside P(n, k), so it is P(n, k) when it has k n - k(k+1)/2 edges."""
+    k = bandwidth(g)
+    return PlatoonSpec(g.n, k) if k and g.m == k * g.n - k * (k + 1) // 2 else None
+
+
 def lambda2_bounds(spec: PlatoonSpec) -> tuple[float, float]:
     """Analytic bracket for the algebraic connectivity of P(n, k):
 

@@ -64,6 +64,14 @@ def random_graph(rng, n_min=2, n_max=10) -> Graph:
                                 if rng.uniform() < p])
 
 
+def mixed_random_graphs(seed: int, count: int) -> list[Graph]:
+    """`count` graphs on 2 to 8 vertices, drawn alternately by random_graph
+    and by random_connected_graph, complete graphs kept."""
+    rng = np.random.default_rng(seed)
+    return [random_graph(rng, 2, 8) if i % 2 else
+            random_connected_graph(rng, 2, 8, avoid_complete=False) for i in range(count)]
+
+
 def neighbor_lists(g: Graph) -> list[list[int]]:
     """Sorted neighbor list of every vertex, gathered from the edge list: the
     reference for the bitmask-walking graph.neighbors and graph.degrees."""

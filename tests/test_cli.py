@@ -16,7 +16,7 @@ import platoonnet
 from platoonnet import cli
 from platoonnet.cli import main
 from platoonnet.connectivity import ROBUSTNESS_LIMIT, connectivity_report, knn_closed_forms
-from platoonnet.graph import PlatoonSpec, build_knn_platoon, save_graph
+from platoonnet.graph import Graph, PlatoonSpec, build_knn_platoon, lambda2_bounds, save_graph
 
 from helpers import csv_writer_rows
 
@@ -43,7 +43,7 @@ def test_analyze_platoon_matches_library(tmp_path, capsys):
     with open(tmp_path / name) as fh:
         got = json.load(fh)
     g = build_knn_platoon(PlatoonSpec(10, 3))
-    want = connectivity_report(g, platoon=PlatoonSpec(10, 3)).to_json_dict()
+    want = connectivity_report(g).to_json_dict()
     assert got == want
     assert manifest["seed"] is None
     assert "timestamp" not in json.dumps(manifest)
@@ -58,7 +58,41 @@ def test_analyze_graph_file(tmp_path):
     with open(out / name) as fh:
         got = json.load(fh)
     assert got["vertex_connectivity"] == 2
-    assert got["lambda2_bounds"] is None  # no platoon parameters known
+    # an edge list of P(6, 2) is read as that platoon
+    lower, upper = lambda2_bounds(PlatoonSpec(6, 2))
+    assert got["lambda2_bounds"] == {"lower": lower, "upper": upper}
+
+
+def platoon_inputs(tmp_path, n, k):
+    """The three `analyze` arguments that give P(n, k): --platoon, a graph
+    file of the platoon form and a graph file listing its edges."""
+    (tmp_path / "platoon.json").write_text(json.dumps({"platoon": [n, k]}))
+    save_graph(build_knn_platoon(PlatoonSpec(n, k)), tmp_path / "edges.json")
+    return [["--platoon", f"{n},{k}"], ["--graph", str(tmp_path / "platoon.json")],
+            ["--graph", str(tmp_path / "edges.json")]]
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_analyze_reports_every_input_form_of_a_platoon_alike(tmp_path, fmt):
+    reports = []
+    for idx, source in enumerate(platoon_inputs(tmp_path, 10, 3)):
+        out = tmp_path / f"out{idx}"
+        assert main(["analyze", *source, "--format", fmt, "--out", str(out)]) == 0
+        (name,) = read_manifest(out)["outputs"]
+        reports.append((out / name).read_bytes())
+    assert reports[0] == reports[1] == reports[2]
+    assert b"lambda2_bounds" in reports[0]
+
+
+def test_analyze_refuses_every_input_form_of_a_platoon_alike(tmp_path, capsys):
+    errors = []
+    for source in platoon_inputs(tmp_path, 20, 4):
+        out = tmp_path / "out"
+        assert main(["analyze", *source, "--robustness", "--out", str(out)]) == 3
+        errors.append(capsys.readouterr().err)
+        assert not out.exists()
+    assert errors[0] == errors[1] == errors[2]
+    assert errors[0].splitlines()[1] == "closed-form values for P(20,4): robustness=4, iso=1/1"
 
 
 def test_analyze_long_graph_file(tmp_path):
@@ -216,12 +250,30 @@ def test_analyze_refusal_runs_no_eigensolver(tmp_path, capsys, monkeypatch):
 
 
 def test_analyze_refusal_without_platoon_has_no_closed_form(tmp_path, capsys):
+    # P(20, 2) less one edge is no platoon in its own vertex order
     gpath = tmp_path / "big.json"
-    save_graph(build_knn_platoon(PlatoonSpec(ROBUSTNESS_LIMIT + 1, 2)), gpath)
+    platoon = build_knn_platoon(PlatoonSpec(ROBUSTNESS_LIMIT + 1, 2))
+    save_graph(Graph(platoon.n, platoon.edges[1:]), gpath)
     code = main(["analyze", "--graph", str(gpath), "--robustness", "--out", str(tmp_path)])
     assert code == 3
     err = capsys.readouterr().err
     assert "closed-form" not in err
+
+
+def test_analyze_out_of_memory_exits_cleanly(tmp_path, capsys, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise MemoryError("Unable to allocate 32.0 GiB for an array with shape "
+                          "(65536, 65536) and data type float64")
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", refuse)
+    for argv in (["analyze", "--platoon", "30,2"],
+                 ["formation", "--config", str(SCENARIOS / "formation-worst-case.json")]):
+        out = tmp_path / argv[0]
+        assert main([*argv, "--out", str(out)]) == 3
+        assert capsys.readouterr().err.splitlines() == [
+            "error: not enough memory: Unable to allocate 32.0 GiB for an array with shape "
+            "(65536, 65536) and data type float64"]
+        assert not out.exists()
 
 
 # ---------------------------------------------------------------- estimate

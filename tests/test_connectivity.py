@@ -12,6 +12,7 @@ from helpers import (
     brute_force_vertex_connectivity,
     edge_sum_isoperimetric,
     is_r_reachable,
+    mixed_random_graphs,
     pair_scan_robustness,
     random_connected_graph,
     random_graph,
@@ -33,7 +34,8 @@ from platoonnet.connectivity import (
     vertex_connectivity,
     _reach_table,
 )
-from platoonnet.graph import Graph, PlatoonSpec, build_knn_platoon, degrees, laplacian
+from platoonnet.graph import (Graph, PlatoonSpec, bandwidth, build_knn_platoon, degrees, laplacian,
+                              platoon_spec)
 
 
 def complete_graph(n):
@@ -177,7 +179,7 @@ def banded_graph(rng, n_max=14, b_max=4) -> Graph:
 
 
 def window_dp(g, costs):
-    return connectivity._window_min_cut(g, connectivity._bandwidth(g), *costs)
+    return connectivity._window_min_cut(g, bandwidth(g), *costs)
 
 
 def test_connectivity_dp_matches_oracles_on_every_small_platoon(monkeypatch):
@@ -224,7 +226,7 @@ def test_connectivity_past_the_bandwidth_limit_runs_max_flow(monkeypatch):
     order = np.random.default_rng(3).permutation(30)
     platoon = build_knn_platoon(PlatoonSpec(30, 3))
     g = Graph(30, [(int(order[i]), int(order[j])) for i, j in platoon.edges])
-    assert connectivity._bandwidth(g) > DP_BANDWIDTH_LIMIT
+    assert bandwidth(g) > DP_BANDWIDTH_LIMIT
     calls = count_max_flows(monkeypatch)
     assert vertex_connectivity(g) == 3 and calls
     calls.clear()
@@ -238,7 +240,7 @@ def test_connectivity_past_the_bandwidth_limit_runs_max_flow(monkeypatch):
     hinged = Graph(19, [(0, 9), (9, 18), (0, 18), (9, 1), (1, 2), (2, 9)]
                               + [(v, v + 1) for v in range(2, 8)] + [(8, 10)]
                               + [(v, v + 1) for v in range(10, 17)])
-    assert connectivity._bandwidth(hinged) > DP_BANDWIDTH_LIMIT
+    assert bandwidth(hinged) > DP_BANDWIDTH_LIMIT
     assert vertex_connectivity(hinged) == brute_force_vertex_connectivity(hinged) == 1
     assert edge_connectivity(hinged) == 1
 
@@ -449,7 +451,7 @@ def test_lambda2_bounds_bracket_platoons():
 
 def test_connectivity_report_full():
     g = build_knn_platoon(PlatoonSpec(10, 3))
-    rep = connectivity_report(g, platoon=PlatoonSpec(10, 3))
+    rep = connectivity_report(g)
     assert rep.vertex_conn == rep.edge_conn == rep.robustness == 3
     assert rep.iso == Fraction(6, 5)
     assert rep.robustness_note is None and rep.iso_note is None
@@ -457,6 +459,19 @@ def test_connectivity_report_full():
     assert d["vertex_connectivity"] == 3
     assert d["isoperimetric"] == {"num": 6, "den": 5, "float": 1.2}
     assert d["lambda2_bounds"]["lower"] <= d["lambda2"] <= d["lambda2_bounds"]["upper"]
+
+
+def test_report_brackets_lambda2_exactly_where_the_graph_is_a_platoon():
+    graphs = mixed_random_graphs(25, 300)
+    graphs.append(build_knn_platoon(PlatoonSpec(30, 1)))
+    for g in graphs:
+        rep = connectivity_report(g)
+        spec = platoon_spec(g)
+        assert rep.lambda2_bounds == (None if spec is None else lambda2_bounds(spec))
+        if rep.lambda2_bounds is not None:
+            lo, hi = rep.lambda2_bounds
+            assert lo - 1e-9 <= rep.lambda2 <= hi + 1e-9, (g.n, g.edges)
+    assert rep.lambda2_bounds == lambda2_bounds(PlatoonSpec(30, 1))
 
 
 def test_connectivity_report_skips_with_note():

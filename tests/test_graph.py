@@ -5,13 +5,14 @@ import numpy as np
 import pytest
 
 import platoonnet.graph as graph_module
-from helpers import neighbor_lists, random_graph
+from helpers import missing_edges, mixed_random_graphs, neighbor_lists, random_graph
 from platoonnet.formation import build_formation
 from platoonnet.graph import (
     Graph,
     GraphFormatError,
     PlatoonSpec,
     algebraic_connectivity,
+    bandwidth,
     build_knn_platoon,
     components,
     degrees,
@@ -19,6 +20,7 @@ from platoonnet.graph import (
     laplacian,
     load_graph,
     neighbors,
+    platoon_spec,
     save_graph,
 )
 
@@ -196,6 +198,51 @@ def test_vertex_count_ceiling():
         PlatoonSpec(65537, 3)
     with pytest.raises(GraphFormatError, match="^vertex count must be at most 65536$"):
         Graph(10**21, ())
+
+
+def test_platoon_spec_inverts_build_knn_platoon():
+    for n in range(2, 41):
+        for k in range(1, n):
+            spec = PlatoonSpec(n, k)
+            g = build_knn_platoon(spec)
+            assert platoon_spec(g) == spec, (n, k)
+            # the reversal i -> n - 1 - i maps P(n, k) onto itself
+            assert platoon_spec(Graph(n, [(n - 1 - j, n - 1 - i) for i, j in g.edges])) == spec
+
+
+def test_platoon_spec_on_random_graphs():
+    # recognised exactly when the graph is the platoon of its own bandwidth
+    found = 0
+    for g in mixed_random_graphs(25, 300):
+        k = bandwidth(g)
+        is_platoon = k > 0 and g == build_knn_platoon(PlatoonSpec(g.n, k))
+        assert platoon_spec(g) == (PlatoonSpec(g.n, k) if is_platoon else None), (g.n, g.edges)
+        found += is_platoon
+    assert 10 <= found <= 290  # both kinds are drawn
+
+
+def test_platoon_spec_refuses_graphs_that_are_no_platoon_in_their_order():
+    assert platoon_spec(Graph(1, [])) is None
+    assert platoon_spec(Graph(5, [])) is None
+    for n in range(2, 13):
+        complete = Graph(n, [(i, j) for i in range(n) for j in range(i + 1, n)])
+        assert platoon_spec(complete) == PlatoonSpec(n, n - 1)
+        for k in range(1, n):
+            g = build_knn_platoon(PlatoonSpec(n, k))
+            # one edge less or more: only the edge (0, n - 1), the one edge
+            # of K_n longer than n - 2, turns P(n, n - 1) into P(n, n - 2)
+            # and back
+            for e in g.edges:
+                want = PlatoonSpec(n, n - 2) if e == (0, n - 1) and n > 2 else None
+                assert platoon_spec(Graph(n, [f for f in g.edges if f != e])) == want, (n, k, e)
+            for e in missing_edges(g):
+                want = PlatoonSpec(n, n - 1) if e == (0, n - 1) and k == n - 2 else None
+                assert platoon_spec(Graph(n, [*g.edges, e])) == want, (n, k, e)
+    # the same platoon with shuffled ids
+    for n, k in ((10, 3), (20, 2), (30, 3), (40, 7)):
+        order = np.random.default_rng(3).permutation(n)
+        edges = build_knn_platoon(PlatoonSpec(n, k)).edges
+        assert platoon_spec(Graph(n, [(int(order[i]), int(order[j])) for i, j in edges])) is None
 
 
 # ---------------------------------------------------------------- file I/O

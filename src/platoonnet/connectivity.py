@@ -162,30 +162,27 @@ def _window_min_cut(g: Graph, b: int, vertex_cost: np.ndarray, edge_cost: np.nda
     label c takes the minimum over the oldest label, whose digit leads and
     so spans whole blocks, then appends c as the lowest digit.  The cost of
     v depends only on which of v-b .. v-1 neighbour it, so one cost table is
-    built per distinct back-pattern.  Linear in n, 4 L^(b+1) entries per
-    vertex.
+    built per distinct back-pattern, the window positions of v's lower
+    neighbours.  Linear in n, 4 L^(b+1) entries per vertex.
     """
     labels = len(vertex_cost)
     rest = labels ** (b - 1)
-    window = (1 << b) - 1
     # digit p of every state s is the label of vertex v - b + p
     digits = np.arange(labels ** b) // labels ** np.arange(b - 1, -1, -1)[:, None] % labels
     # edge_cost[c, digits[p, s]]: (L, b, L^b), the cost of v's label c
     # against position p, paid where p neighbours v
     against = edge_cost[:, digits]
-    tables: dict[int, np.ndarray] = {}
+    tables: dict[tuple[int, ...], np.ndarray] = {}
     label_a, label_b = labels - 2, labels - 1
     # flags: 1 = A used, 2 = B used; the window starts as label 0 padding,
     # which no back-pattern reaches
     cost = np.full((4, labels ** b), np.inf)
     cost[0, 0] = 0.0
-    for v, mask in enumerate(g.neighbor_bitmasks):
-        shift = b - v
-        back = (mask << shift if shift > 0 else mask >> -shift) & window
+    for v, nbrs in enumerate(g.adjacency):
+        back = tuple(u - v + b for u in nbrs if u < v)
         table = tables.get(back)
         if table is None:
-            bits = [p for p in range(b) if back >> p & 1]
-            table = vertex_cost[:, None] + against[:, bits].sum(axis=1)
+            table = vertex_cost[:, None] + against[:, list(back)].sum(axis=1)
             table = tables[back] = table.reshape(1, labels, labels, rest)
         # step[f, c, r]: least cost of flags f with v labelled c and the
         # newer b - 1 labels r, over the oldest label
@@ -242,8 +239,9 @@ def _reach_table(g: Graph) -> np.ndarray:
     without v, which lie in the low half of each block of 2^(v+1)."""
     idx = np.arange(1 << g.n, dtype=np.uint32)
     reach = np.zeros(1 << g.n, dtype=np.uint8)
-    for v, (mask, deg) in enumerate(zip(g.neighbor_bitmasks, degrees(g))):
-        count = np.uint8(deg) - np.bitwise_count(idx & np.uint32(mask))
+    for v, nbrs in enumerate(g.adjacency):
+        mask = sum(1 << u for u in nbrs)
+        count = np.uint8(len(nbrs)) - np.bitwise_count(idx & np.uint32(mask))
         count.reshape(-1, 2 << v)[:, :1 << v] = 0
         np.maximum(reach, count, out=reach)
     return reach
@@ -310,15 +308,15 @@ def isoperimetric_constant(g: Graph, limit: int = ISO_LIMIT) -> tuple[Fraction, 
     total = 1 << n
     boundary = np.zeros(total, dtype=np.uint8)
     size = np.zeros(total, dtype=np.uint8)
-    for v, (mask, deg) in enumerate(zip(g.neighbor_bitmasks, degrees(g))):
+    for v, nbrs in enumerate(g.adjacency):
         half = 1 << v
         # boundary[S + 2^v] = boundary[S] + deg(v) - 2 |N(v) & S| for
         # S < 2^v: deg(v) is added first, so no byte drops below 0, then 2
         # comes off the strided blocks of S holding each neighbour u < v
         top = boundary[half : 2 * half]
-        np.add(boundary[:half], np.uint8(deg), out=top)
-        for u in range(v):
-            if mask >> u & 1:
+        np.add(boundary[:half], np.uint8(len(nbrs)), out=top)
+        for u in nbrs:
+            if u < v:
                 top.reshape(-1, 2, 1 << u)[:, 1] -= 2
         np.add(size[:half], np.uint8(1), out=size[half : 2 * half])
     # the least boundary per subset size; no boundary reaches 255

@@ -71,11 +71,9 @@ class Adversary:
 
 def is_f_local(g: Graph, adversary_set, f: int) -> bool:
     """True iff every vehicle outside the set has <= f neighbors inside it."""
-    inside = 0
-    for v in adversary_set:
-        inside |= 1 << _vertex(g, v)
-    return all((mask & inside).bit_count() <= f
-               for i, mask in enumerate(g.neighbor_bitmasks) if not inside >> i & 1)
+    inside = {_vertex(g, v) for v in adversary_set}
+    return all(sum(u in inside for u in nbrs) <= f
+               for i, nbrs in enumerate(g.adjacency) if i not in inside)
 
 
 @dataclass(frozen=True)
@@ -118,6 +116,8 @@ def run_wmsr(
     f-local).
     """
     n = g.n
+    if not _is_int(f):
+        raise ValueError(f"f must be an integer, got {f!r}")
     if f < 0:
         raise ValueError("f must be >= 0")
     if not _is_int(T) or T < 0:

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graph import Graph, _is_int, _vehicle_id, _vertex, laplacian, neighbors
+from .graph import Graph, _endpoints, _is_int, _vehicle_id, _vertex, neighbors
 
 
 class ModelMismatchError(RuntimeError):
@@ -25,7 +25,10 @@ class ModelMismatchError(RuntimeError):
 
 def _support(g: Graph) -> np.ndarray:
     """Boolean n x n mask of the diagonal plus the graph's edges."""
-    return (laplacian(g) != 0) | np.eye(g.n, dtype=bool)
+    mask = np.eye(g.n, dtype=bool)
+    i, j = _endpoints(g)
+    mask[i, j] = mask[j, i] = True
+    return mask
 
 
 @dataclass(frozen=True)
@@ -144,6 +147,8 @@ class MeasurementTrace:
 
 def observe(g: Graph, states: np.ndarray, observer: int, length: int | None = None) -> MeasurementTrace:
     """Extract observer i's measurements from a full state trace."""
+    if length is not None and (not _is_int(length) or length < 1):
+        raise ValueError(f"length must be >= 1 and an integer, got {length!r}")
     rows = measured_rows(g, observer)
     states = np.asarray(states)
     L = states.shape[0] if length is None else length
@@ -241,6 +246,8 @@ def recover_initial_state(trace: MeasurementTrace, W: WeightMatrix, f: int) -> R
     Otherwise it is an ambiguity result listing the kept candidates.
     Raises ModelMismatchError if nothing is consistent.
     """
+    if not _is_int(f):
+        raise ValueError(f"f must be an integer, got {f!r}")
     if f < 0:
         raise ValueError("f must be >= 0")
     n = W.graph.n

@@ -25,7 +25,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .graph import Graph, algebraic_connectivity, components, incidence, laplacian
+from .graph import Graph, _endpoints, algebraic_connectivity, components, incidence, laplacian
 
 BRANCH_UNDERDAMPED = "underdamped-peak"
 BRANCH_STATIC = "static-gain"
@@ -321,7 +321,8 @@ def simulate_formation(
         z[-1] = _expm(z_mat * (h * rest)) @ z[full]
     states = z[:, : 2 * n] + x_eq
     pos, vel = states[:, :n], states[:, n:]
-    span_err = pos @ system.c_mat[:, :n].T - system.desired_spans
+    i, j = _endpoints(system.graph)
+    span_err = pos[:, i] - pos[:, j] - system.desired_spans
     return FormationTrace(
         t=np.array(recorded) * h, positions=pos, velocities=vel, span_errors=span_err
     )

@@ -14,8 +14,10 @@ from functools import cached_property
 
 import numpy as np
 
-# Largest vertex count a Graph or PlatoonSpec takes.  The bitmask adjacency of
-# a platoon holds about n^2 / 16 bytes: 275 MiB for P(2^16, 3).
+# Largest vertex count a Graph or PlatoonSpec takes: a huge n is refused
+# before any vertex-sized structure is built.  Below it the dense n x n
+# matrices (laplacian, the formation system) are not bounded: 32 GiB of int64
+# for one 2^16-vertex Laplacian.
 MAX_VERTICES = 1 << 16
 
 
@@ -100,18 +102,18 @@ class Graph:
         return len(self.edges)
 
     @cached_property
-    def neighbor_bitmasks(self) -> tuple[int, ...]:
-        """Per-vertex neighborhoods as bitmasks (bit j set iff j adjacent):
-        the graph's one adjacency view, from which degrees and neighbor
-        lists are read."""
-        masks = [0] * self.n
+    def adjacency(self) -> tuple[tuple[int, ...], ...]:
+        """Sorted neighbour tuple of every vertex: the graph's one adjacency
+        view.  The edges are sorted, so each vertex meets its lower
+        neighbours first and every list is built in ascending order."""
+        nbrs: list[list[int]] = [[] for _ in range(self.n)]
         for i, j in self.edges:
-            masks[i] |= 1 << j
-            masks[j] |= 1 << i
-        return tuple(masks)
+            nbrs[i].append(j)
+            nbrs[j].append(i)
+        return tuple(map(tuple, nbrs))
 
     def has_edge(self, a: int, b: int) -> bool:
-        return bool(self.neighbor_bitmasks[_vertex(self, a)] >> _vertex(self, b) & 1)
+        return _vertex(self, b) in self.adjacency[_vertex(self, a)]
 
 
 @dataclass(frozen=True)
@@ -170,14 +172,19 @@ def lambda2_bounds(spec: PlatoonSpec) -> tuple[float, float]:
 
 def degrees(g: Graph) -> np.ndarray:
     """Vertex degrees (int64)."""
-    return np.array([mask.bit_count() for mask in g.neighbor_bitmasks], dtype=np.int64)
+    return np.fromiter(map(len, g.adjacency), np.int64, g.n)
+
+
+def _endpoints(g: Graph) -> np.ndarray:
+    """The canonical edges as a (2, m) index array: rows i and j of (i, j)."""
+    return np.array(g.edges, dtype=np.intp).reshape(-1, 2).T
 
 
 def laplacian(g: Graph) -> np.ndarray:
     """Graph Laplacian L = D - A (int64)."""
     lap = np.diag(degrees(g))
-    for i, j in g.edges:
-        lap[i, j] = lap[j, i] = -1
+    i, j = _endpoints(g)
+    lap[i, j] = lap[j, i] = -1
     return lap
 
 
@@ -201,39 +208,33 @@ def incidence(g: Graph) -> np.ndarray:
     -1 at row j.  Satisfies L = B @ B.T exactly in integer arithmetic.
     """
     b = np.zeros((g.n, g.m), dtype=np.int64)
-    for e, (i, j) in enumerate(g.edges):
-        b[i, e] = 1
-        b[j, e] = -1
+    b[_endpoints(g), np.arange(g.m)] = [[1], [-1]]  # column e: +1 at i, -1 at j
     return b
 
 
 def neighbors(g: Graph, i: int) -> list[int]:
-    """Sorted neighbor list of vertex i: the set bits of its mask, lowest first."""
-    mask = g.neighbor_bitmasks[_vertex(g, i)]
-    nbrs = []
-    while mask:
-        low = mask & -mask
-        nbrs.append(low.bit_length() - 1)
-        mask ^= low
-    return nbrs
+    """Sorted neighbor list of vertex i."""
+    return list(g.adjacency[_vertex(g, i)])
 
 
 def components(g: Graph) -> list[list[int]]:
-    """Connected components as sorted vertex lists, by smallest vertex."""
-    nb = g.neighbor_bitmasks
-    unseen = (1 << g.n) - 1
+    """Connected components as sorted vertex lists, by smallest vertex: a
+    stack search from each vertex not yet reached."""
+    adj = g.adjacency
+    seen = bytearray(g.n)
     comps = []
-    while unseen:
-        comp = frontier = unseen & -unseen
-        members = []
-        while frontier:
-            v = (frontier & -frontier).bit_length() - 1
-            frontier &= frontier - 1
+    for root in range(g.n):
+        if seen[root]:
+            continue
+        seen[root] = 1
+        stack, members = [root], []
+        while stack:
+            v = stack.pop()
             members.append(v)
-            new = nb[v] & ~comp
-            comp |= new
-            frontier |= new
-        unseen &= ~comp
+            for u in adj[v]:
+                if not seen[u]:
+                    seen[u] = 1
+                    stack.append(u)
         comps.append(sorted(members))
     return comps
 

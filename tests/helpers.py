@@ -73,13 +73,24 @@ def mixed_random_graphs(seed: int, count: int) -> list[Graph]:
 
 
 def neighbor_lists(g: Graph) -> list[list[int]]:
-    """Sorted neighbor list of every vertex, gathered from the edge list: the
-    reference for the bitmask-walking graph.neighbors and graph.degrees."""
+    """Sorted neighbor list of every vertex, gathered from the edge list and
+    sorted per vertex: the reference for Graph.adjacency, graph.neighbors and
+    graph.degrees."""
     nbrs: list[list[int]] = [[] for _ in range(g.n)]
     for i, j in g.edges:
         nbrs[i].append(j)
         nbrs[j].append(i)
     return [sorted(v) for v in nbrs]
+
+
+def neighbor_bitmasks(g: Graph) -> list[int]:
+    """Neighborhood of every vertex as a bitmask, bit j set iff j is adjacent:
+    the reference set view for Graph.adjacency and the scalar reach oracles."""
+    masks = [0] * g.n
+    for i, j in g.edges:
+        masks[i] |= 1 << j
+        masks[j] |= 1 << i
+    return masks
 
 
 def set_is_f_local(g: Graph, adversary_set, f: int) -> bool:
@@ -111,7 +122,8 @@ def is_r_reachable(g: Graph, S, r: int) -> bool:
     if not S or not S <= set(range(g.n)):
         raise ValueError(f"S must be a nonempty set of vertices below n={g.n}, got {sorted(S)}")
     mask = sum(1 << v for v in S)
-    return any((g.neighbor_bitmasks[v] & ~mask).bit_count() >= r for v in S)
+    nb = neighbor_bitmasks(g)
+    return any((nb[v] & ~mask).bit_count() >= r for v in S)
 
 
 def brute_force_robustness(g: Graph) -> int:

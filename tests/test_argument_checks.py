@@ -48,9 +48,19 @@ SYSTEM = build_formation(G, 5.0, 10.0)
     (lambda: simulate_formation(SYSTEM, T=math.inf), r"^T and h must be positive and finite$"),
     (lambda: simulate_formation(SYSTEM, T=1.0, h=math.nan),
      r"^T and h must be positive and finite$"),
+    (lambda: observe(G, STATES, 0, -1), r"^length must be >= 1 and an integer, got -1$"),
+    (lambda: observe(G, STATES, 0, True), r"^length must be >= 1 and an integer, got True$"),
+    (lambda: run_wmsr(G, np.arange(5.0), [], f=1.5, T=3), r"^f must be an integer, got 1\.5$"),
+    (lambda: run_wmsr(G, np.arange(5.0), [], f=True, T=3), r"^f must be an integer, got True$"),
+    (lambda: recover_initial_state(observe(G, STATES, 0), W, 1.5),
+     r"^f must be an integer, got 1\.5$"),
+    (lambda: recover_initial_state(observe(G, STATES, 0), W, True),
+     r"^f must be an integer, got True$"),
 ], ids=["wmsr-f", "faulty-x0", "stacked-length", "recover-f", "record-every", "disturbance",
         "lambda2-nan", "lambda2-inf", "phi-step", "phi-vehicle-bool", "horizon-bool",
-        "horizon-float", "wmsr-T", "formation-T", "formation-h"])
+        "horizon-float", "wmsr-T", "formation-T", "formation-h", "observe-length-negative",
+        "observe-length-bool", "wmsr-f-float", "wmsr-f-bool", "recover-f-float",
+        "recover-f-bool"])
 def test_library_argument_checks(call, message):
     with pytest.raises(ValueError, match=message):
         call()

@@ -13,6 +13,7 @@ from helpers import (
     edge_sum_isoperimetric,
     is_r_reachable,
     mixed_random_graphs,
+    neighbor_bitmasks,
     pair_scan_robustness,
     random_connected_graph,
     random_graph,
@@ -122,7 +123,7 @@ def test_reach_table_matches_scalar_formula():
     rng = np.random.default_rng(5)
     for _ in range(60):
         g = random_graph(rng, n_min=1, n_max=12)
-        nb = g.neighbor_bitmasks
+        nb = neighbor_bitmasks(g)
         want = [max(((nb[v] & ~s).bit_count() for v in range(g.n) if s >> v & 1), default=0)
                 for s in range(1 << g.n)]
         assert _reach_table(g).tolist() == want, (g.n, g.edges)

@@ -1,4 +1,5 @@
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ from platoonnet.formation import (
     simulate_formation,
 )
 import platoonnet.formation as formation
+from platoonnet.cli import _build_disturbance, load_formation_config
 from platoonnet.connectivity import algebraic_connectivity
 from platoonnet.graph import Graph, PlatoonSpec, build_knn_platoon, incidence, laplacian
 
@@ -25,9 +27,12 @@ from helpers import (
     lap_eigenvalues,
     modal_gain,
     modal_hinf,
+    random_connected_graph,
     rk4_formation,
     sqrt_laplacian_output,
 )
+
+SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 
 
 def make_system(n, k, kp=5.0, ku=10.0, d0=10.0):
@@ -340,6 +345,27 @@ def test_last_partial_sample_lands_on_the_grid_end():
     for a, b in [(got.positions, want.positions), (got.velocities, want.velocities),
                  (got.span_errors, want.span_errors)]:
         assert np.max(np.abs(a - b)) <= 1e-8
+
+
+def test_span_errors_equal_the_incidence_product_bitwise():
+    # the gather p_i - p_j by edge endpoints against the incidence product,
+    # which sums +-1 products and zeros around the same one rounding: the
+    # worst-case fixture as the CLI runs it, and random connected graphs
+    system, T, h, record_every, cfg = load_formation_config(
+        str(SCENARIOS / "formation-worst-case.json"))
+    peak = hinf_closed_form(system.lambda2, system.kp, system.ku)[2]
+    disturbance, _ = _build_disturbance(system, cfg, peak)
+    runs = [(system, simulate_formation(system, disturbance, T=T, h=h, record_every=record_every))]
+    rng = np.random.default_rng(31)
+    for _ in range(30):
+        sys_ = build_formation(random_connected_graph(rng, 3, 10), 5.0, 10.0)
+        n = sys_.graph.n
+        x0 = sys_.equilibrium_state + rng.normal(size=2 * n)
+        push = Disturbance(constant=rng.normal(size=n), sine=rng.normal(size=n), omega=0.9)
+        runs.append((sys_, simulate_formation(sys_, push, T=2.0, h=0.01, x0=x0)))
+    for sys_, trace in runs:
+        want = trace.positions @ sys_.c_mat[:, :sys_.graph.n].T - sys_.desired_spans
+        assert trace.span_errors.tobytes() == want.tobytes(), sys_.graph.edges
 
 
 def test_recording_stride():

@@ -1,11 +1,13 @@
 import json
+import tracemalloc
 
 import networkx as nx
 import numpy as np
 import pytest
 
 import platoonnet.graph as graph_module
-from helpers import missing_edges, mixed_random_graphs, neighbor_lists, random_graph
+from helpers import (missing_edges, mixed_random_graphs, neighbor_bitmasks, neighbor_lists,
+                     random_graph)
 from platoonnet.formation import build_formation
 from platoonnet.graph import (
     Graph,
@@ -126,6 +128,36 @@ def test_bitmask_neighbors_and_degrees_match_the_edge_lists():
         for bad in (-1, g.n, g.n + 64):
             with pytest.raises(ValueError, match=f"^vertex {bad} out of range for n={g.n}$"):
                 neighbors(g, bad)
+
+
+def test_adjacency_and_components_match_the_oracles():
+    # the adjacency against the sorted edge lists and the bitmask view, and
+    # components against networkx, on random graphs and every P(n, k), n <= 40
+    graphs = [Graph(1, ())] + mixed_random_graphs(25, 300)
+    graphs += [build_knn_platoon(PlatoonSpec(n, k)) for n in range(2, 41) for k in range(1, n)]
+    for g in graphs:
+        assert g.adjacency == tuple(map(tuple, neighbor_lists(g))), (g.n, g.edges)
+        assert [sum(1 << u for u in nbrs) for nbrs in g.adjacency] == neighbor_bitmasks(g)
+        nxg = nx.Graph()
+        nxg.add_nodes_from(range(g.n))
+        nxg.add_edges_from(g.edges)
+        assert components(g) == sorted(sorted(c) for c in nx.connected_components(nxg))
+
+
+def test_adjacency_reads_stay_small_on_a_long_platoon():
+    # the adjacency grows with n + m; one n-bit mask per vertex would take
+    # ~n^2 / 16 bytes, an 18 MiB peak here
+    g = build_knn_platoon(PlatoonSpec(16384, 3))
+    tracemalloc.start()
+    try:
+        components(g)
+        degrees(g)
+        for i in range(g.n):
+            neighbors(g, i)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 << 20, peak
 
 
 @pytest.mark.parametrize("bad", [-1, 5, 9])

@@ -21,6 +21,7 @@ import numpy as np
 from .graph import (
     Graph,
     PlatoonSpec,
+    _count,
     algebraic_connectivity,
     bandwidth,
     components,
@@ -249,7 +250,7 @@ def _reach_table(g: Graph) -> np.ndarray:
 
 def _ceiled(limit: int) -> int:
     """The limit an exhaustive measure applies: none passes the ceiling."""
-    return min(limit, EXHAUSTIVE_CEILING)
+    return min(_count("limit", limit, 0), EXHAUSTIVE_CEILING)
 
 
 def _refuse_above(limit: int, n: int, measure: str) -> None:

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graph import Graph, _is_int, _vertex, neighbors
+from .graph import Graph, _count, _distinct, _vector, _vertex, neighbors
 
 
 class Constant:
@@ -56,7 +56,7 @@ class SeededRandom:
             raise ValueError(f"low {low} is above high {high}")
         self.low = float(low)
         self.high = float(high)
-        self.seed = int(seed)
+        self.seed = _count("seed", seed, 0)
 
     def value(self, step: int) -> float:
         rng = np.random.default_rng((self.seed, step))
@@ -71,6 +71,7 @@ class Adversary:
 
 def is_f_local(g: Graph, adversary_set, f: int) -> bool:
     """True iff every vehicle outside the set has <= f neighbors inside it."""
+    f = _count("f", f, 0)
     inside = {_vertex(g, v) for v in adversary_set}
     return all(sum(u in inside for u in nbrs) <= f
                for i, nbrs in enumerate(g.adjacency) if i not in inside)
@@ -116,19 +117,9 @@ def run_wmsr(
     f-local).
     """
     n = g.n
-    if not _is_int(f):
-        raise ValueError(f"f must be an integer, got {f!r}")
-    if f < 0:
-        raise ValueError("f must be >= 0")
-    if not _is_int(T) or T < 0:
-        raise ValueError(f"T must be >= 0 and an integer, got {T!r}")
-    x0 = np.asarray(x0, dtype=np.float64)
-    if x0.shape != (n,):
-        raise ValueError(f"x0 must have shape ({n},)")
+    f, T, x0 = _count("f", f, 0), _count("T", T, 0), _vector("x0", x0, n)
     advs = list(adversaries)
-    adv_ids = [_vertex(g, a.vehicle) for a in advs]
-    if len(set(adv_ids)) != len(adv_ids):
-        raise ValueError("duplicate adversary vehicles")
+    adv_ids = _distinct([_vertex(g, a.vehicle) for a in advs], "adversary")
     strategy = {a.vehicle: a.strategy for a in advs}
     normal = tuple(v for v in range(n) if v not in strategy)
     if not normal:
@@ -185,7 +176,7 @@ def run_wmsr(
     return ConsensusTrace(
         values=values,
         normal=normal,
-        adversaries=tuple(sorted(adv_ids)),
+        adversaries=adv_ids,
         converged_at=int(converged[0]) if converged.size else None,
         safety_violations=tuple(zip((step + 1).tolist(), vehicle.tolist())),
         f_local=is_f_local(g, adv_ids, f),

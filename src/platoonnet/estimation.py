@@ -16,7 +16,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graph import Graph, _endpoints, _is_int, _vehicle_id, _vertex, neighbors
+from .graph import (Graph, _count, _distinct, _endpoints, _is_int, _vector, _vehicle_id, _vertex,
+                    neighbors)
 
 
 class ModelMismatchError(RuntimeError):
@@ -56,7 +57,7 @@ def random_weights(g: Graph, seed: int) -> WeightMatrix:
     """
     rows, cols = np.nonzero(_support(g))
     w = np.zeros((g.n, g.n))
-    w[rows, cols] = np.random.default_rng(seed).uniform(0.2, 1.0, rows.size)
+    w[rows, cols] = np.random.default_rng(_count("seed", seed, 0)).uniform(0.2, 1.0, rows.size)
     return WeightMatrix(g, w)
 
 
@@ -73,12 +74,8 @@ class FaultScenario:
     horizon: int
 
     def __post_init__(self):
-        faulty = tuple(sorted(_vehicle_id(v) for v in self.faulty))
-        if len(set(faulty)) != len(faulty):
-            raise ValueError("duplicate faulty vehicles")
-        object.__setattr__(self, "faulty", faulty)
-        if not _is_int(self.horizon) or self.horizon < 1:
-            raise ValueError(f"horizon must be >= 1 and an integer, got {self.horizon!r}")
+        object.__setattr__(self, "faulty", _distinct(self.faulty, "faulty"))
+        object.__setattr__(self, "horizon", _count("horizon", self.horizon, 1))
         for (v, k) in self.phi:
             if _vehicle_id(v) not in self.faulty:
                 raise ValueError(f"phi entry for vehicle {v} not in faulty set {self.faulty}")
@@ -92,9 +89,7 @@ def simulate_faulty(W: WeightMatrix, x0, scenario: FaultScenario) -> np.ndarray:
     """State trace x[0..horizon] under x[k+1] = W x[k] + A phi[k].  Every
     faulty id must be a vehicle of W's graph."""
     n = W.graph.n
-    x0 = np.asarray(x0, dtype=np.float64)
-    if x0.shape != (n,):
-        raise ValueError(f"x0 must have shape ({n},)")
+    x0 = _vector("x0", x0, n)
     for v in scenario.faulty:
         _vertex(W.graph, v)
     states = np.zeros((scenario.horizon + 1, n))
@@ -118,9 +113,10 @@ def packet_drop_scenario(
     (scenario, states); simulate_faulty on the returned scenario reproduces
     the same states."""
     n = W.graph.n
+    x0, horizon = _vector("x0", x0, n), _count("horizon", horizon, 1)
     nbrs = neighbors(W.graph, vehicle)
     states = np.zeros((horizon + 1, n))
-    states[0] = np.asarray(x0, dtype=np.float64)
+    states[0] = x0
     phi: dict[tuple[int, int], float] = {}
     for k in range(horizon):
         val = float(-np.dot(W.matrix[vehicle, nbrs], states[k][nbrs]))
@@ -147,11 +143,9 @@ class MeasurementTrace:
 
 def observe(g: Graph, states: np.ndarray, observer: int, length: int | None = None) -> MeasurementTrace:
     """Extract observer i's measurements from a full state trace."""
-    if length is not None and (not _is_int(length) or length < 1):
-        raise ValueError(f"length must be >= 1 and an integer, got {length!r}")
     rows = measured_rows(g, observer)
     states = np.asarray(states)
-    L = states.shape[0] if length is None else length
+    L = states.shape[0] if length is None else _count("length", length, 1)
     if L > states.shape[0]:
         raise ValueError(f"requested {L} measurement steps from a {states.shape[0]}-state trace")
     return MeasurementTrace(observer=observer, rows=tuple(rows), y=states[:L, rows].copy())
@@ -165,8 +159,7 @@ def _stacked_maps(W: WeightMatrix, rows, length: int) -> tuple[np.ndarray, np.nd
     measurements to a unit fault of vehicle v at step j: C W^(k-1-j) e_v in
     row block k > j, zero above it.
     """
-    if length < 1:
-        raise ValueError("length must be >= 1")
+    length = _count("length", length, 1)
     n = W.graph.n
     rp = len(rows)
     # C W^p for p = 0..length-1, computed by repeated multiplication
@@ -188,12 +181,9 @@ def observation_model(
     Returns (O, J) such that the stacked measurements satisfy
     Y = O x[0] + J Phi exactly, where Phi stacks phi[0..L-2] (each of size
     |fault_set|, ordered by sorted fault set).  With length = 1, J has zero
-    columns.  Every fault id must be a vehicle of W's graph, and none may
-    repeat.
+    columns.  Every fault id is a distinct vehicle of W's graph.
     """
-    faults = sorted(_vertex(W.graph, v) for v in fault_set)
-    if len(set(faults)) != len(faults):
-        raise ValueError("duplicate faulty vehicles")
+    faults = _distinct([_vertex(W.graph, v) for v in fault_set], "faulty")
     obs, forced = _stacked_maps(W, measured_rows(W.graph, observer), length)
     return obs, forced[:, :, faults].reshape(obs.shape[0], (length - 1) * len(faults))
 
@@ -246,10 +236,7 @@ def recover_initial_state(trace: MeasurementTrace, W: WeightMatrix, f: int) -> R
     Otherwise it is an ambiguity result listing the kept candidates.
     Raises ModelMismatchError if nothing is consistent.
     """
-    if not _is_int(f):
-        raise ValueError(f"f must be an integer, got {f!r}")
-    if f < 0:
-        raise ValueError("f must be >= 0")
+    f = _count("f", f, 0)
     n = W.graph.n
     L = int(trace.y.shape[0])
     y = np.asarray(trace.y, dtype=np.float64).reshape(-1)
@@ -311,6 +298,4 @@ def recover_initial_state(trace: MeasurementTrace, W: WeightMatrix, f: int) -> R
 
 def max_tolerable_faults(k: int) -> int:
     """Faults a P(n, k) platoon can tolerate for unique recovery: floor((k-1)/2)."""
-    if k < 1:
-        raise ValueError("k must be >= 1")
-    return (k - 1) // 2
+    return (_count("k", k, 1) - 1) // 2

@@ -25,7 +25,8 @@ from functools import cached_property
 
 import numpy as np
 
-from .graph import Graph, _endpoints, algebraic_connectivity, components, incidence, laplacian
+from .graph import (Graph, _count, _endpoints, _vector, algebraic_connectivity, components,
+                    incidence, laplacian)
 
 BRANCH_UNDERDAMPED = "underdamped-peak"
 BRANCH_STATIC = "static-gain"
@@ -283,27 +284,17 @@ def simulate_formation(
     n = system.graph.n
     if not (0 < h < math.inf and 0 < T < math.inf):  # false for NaN
         raise ValueError("T and h must be positive and finite")
-    if record_every < 1:
-        raise ValueError("record_every must be >= 1")
+    record_every = _count("record_every", record_every, 1)
     x_eq = system.equilibrium_state
-    if x0 is None:
-        dev = np.zeros(2 * n)
-    else:
-        x0 = np.asarray(x0, dtype=np.float64)
-        if x0.shape != (2 * n,):
-            raise ValueError(f"x0 must have shape ({2 * n},)")
-        dev = x0 - x_eq
+    dev = np.zeros(2 * n) if x0 is None else _vector("x0", x0, 2 * n) - x_eq
     w = Disturbance() if disturbance is None else disturbance
 
     size = 2 * n + 3
     z_mat = np.zeros((size, size))
     z_mat[: 2 * n, : 2 * n] = system.a_mat
     for col, part in enumerate((w.constant, w.sine, w.cosine)):
-        if part is not None:
-            part = np.asarray(part, dtype=np.float64)
-            if part.shape != (n,):
-                raise ValueError(f"disturbance parts must have shape ({n},)")
-            z_mat[n : 2 * n, 2 * n + col] = part  # F routes w into the velocities
+        if part is not None:  # F routes w into the velocities
+            z_mat[n : 2 * n, 2 * n + col] = _vector("disturbance parts", part, n)
     omega = float(w.omega)
     z_mat[2 * n + 1, 2 * n + 2] = omega
     z_mat[2 * n + 2, 2 * n + 1] = -omega

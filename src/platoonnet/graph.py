@@ -56,6 +56,31 @@ def _vertex(g: Graph, i) -> int:
     return i
 
 
+def _count(name: str, value, least: int) -> int:
+    """value as an int: an integer, not a bool, and at least `least`.  The
+    library's one rule for fault bounds, horizons, step counts and seeds."""
+    if not _is_int(value) or value < least:
+        raise ValueError(f"{name} must be >= {least} and an integer, got {value!r}")
+    return int(value)
+
+
+def _vector(name: str, value, size: int) -> np.ndarray:
+    """value as a float64 vector of `size` entries: a scalar is not broadcast."""
+    value = np.asarray(value, dtype=np.float64)
+    if value.shape != (size,):
+        raise ValueError(f"{name} must have shape ({size},)")
+    return value
+
+
+def _distinct(ids, what: str) -> tuple[int, ...]:
+    """The vehicle ids as a sorted tuple, each given once.  A caller with a
+    graph passes each id through _vertex first."""
+    ids = tuple(sorted(map(_vehicle_id, ids)))
+    if len(set(ids)) != len(ids):
+        raise ValueError(f"duplicate {what} vehicles")
+    return ids
+
+
 def _canonical_edges(n: int, edges) -> tuple[tuple[int, int], ...]:
     """Normalize an edge iterable to sorted (i, j) with i < j, checking
     integer pairs, self-loops, range, and duplicates (in either orientation).
@@ -139,8 +164,8 @@ class PlatoonSpec:
 def build_knn_platoon(spec: PlatoonSpec) -> Graph:
     """Build P(n, k): edge (i, j) iff 0 < |i - j| <= k."""
     n, k = spec.n, spec.k
-    edges = [(i, j) for i in range(n) for j in range(i + 1, min(i + k, n - 1) + 1)]
-    return Graph(n, tuple(edges))
+    # a generator: Graph's edge check consumes it once, so no edge list is kept beside it
+    return Graph(n, ((i, j) for i in range(n) for j in range(i + 1, min(i + k, n - 1) + 1)))
 
 
 def bandwidth(g: Graph) -> int:

@@ -160,6 +160,21 @@ def test_adjacency_reads_stay_small_on_a_long_platoon():
     assert peak < 8 << 20, peak
 
 
+def test_building_a_long_platoon_keeps_no_second_edge_list():
+    # the graph keeps ~5 MiB; an edge list held beside the check's pair set
+    # peaked at 10.6 MiB, the generator the check consumes at 7.3 MiB
+    spec = PlatoonSpec(16384, 3)
+    tracemalloc.start()
+    try:
+        g = build_knn_platoon(spec)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 9 << 20, peak
+    n = spec.n
+    assert g.edges == tuple((i, j) for i in range(n) for j in range(i + 1, min(i + 3, n - 1) + 1))
+
+
 @pytest.mark.parametrize("bad", [-1, 5, 9])
 def test_has_edge_checks_its_vertex_ids(bad):
     # -1 must not wrap to the last vehicle, and an id past n is no vertex

@@ -26,22 +26,22 @@ from importlib import import_module
 from pathlib import Path
 from types import SimpleNamespace
 
-import numpy as np
-
+# numpy and the domain modules are imported where they are used, not here:
+# --help and argparse's usage errors load only this module and the package.
 from . import _EXPORTS, _MODULE_OF, __version__
-from .graph import (Graph, GraphFormatError, PlatoonSpec, build_knn_platoon, graph_from_json,
-                    load_graph, platoon_spec, read_json)
 
 
 def _bind(module: str) -> None:
     """Import platoonnet.<module> and bind the names the package exports from
-    it as globals here, where the subcommands look them up, keeping any name
-    already bound (a replaced name stays replaced).  A subcommand binds its
-    domain module when it first runs, as does an outside lookup of one of its
-    names such as `cli.run_wmsr`, so a job loads only its own code."""
-    mod = import_module(f"{__package__}.{module}")
-    for name in _EXPORTS[module]:
-        globals().setdefault(name, getattr(mod, name))
+    it, and from `graph`, which every domain module builds on, as globals
+    here, where the subcommands look them up, keeping any name already bound
+    (a replaced name stays replaced).  A subcommand binds its domain module
+    when it first runs, as does an outside lookup of one of its names such
+    as `cli.run_wmsr`, so a job loads only its own code."""
+    for source in dict.fromkeys(("graph", module)):
+        mod = import_module(f"{__package__}.{source}")
+        for name in _EXPORTS[source]:
+            globals().setdefault(name, getattr(mod, name))
 
 
 def __getattr__(name: str):
@@ -266,6 +266,8 @@ def _check_finite(data, what: str) -> None:
 def _load_document(path: str, schema: dict, what: str):
     """A scenario or config file, parsed and checked: it matches its schema
     and every number in it is finite."""
+    from .graph import read_json
+
     _, data = read_json(path, what)
     _validate_schema(data, schema, what)
     _check_finite(data, what)
@@ -276,6 +278,8 @@ def _resolve_graph(spec, base_dir: Path, what: str) -> Graph:
     """Graph from a checked 'graph' entry: a graph file (a relative path
     resolves against base_dir) or an inline graph object, whose errors are
     reported at /graph, or at /graph/edges/<i> for a failing edge."""
+    from .graph import graph_from_json
+
     if isinstance(spec, str):
         return load_graph(base_dir / spec)
     try:
@@ -313,6 +317,8 @@ def _config_hash(config: dict) -> str:
 
 
 def _versions() -> dict:
+    import numpy as np
+
     return {
         "platoonnet": __version__,
         "numpy": np.__version__,
@@ -334,7 +340,10 @@ def _emit(args, config: dict, seed, files: dict, results: dict | None = None) ->
     command and the output format.
     """
     outdir = Path(args.out)
-    outdir.mkdir(parents=True, exist_ok=True)
+    try:
+        outdir.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:  # a file in the way, or no permission
+        raise ValidationFailure(f"--out: cannot create directory ({exc.strerror}): {outdir}")
     config = {**config, "command": args.command, "format": args.format}
     stem = f"{args.command}-{_config_hash(config)}"
     names = []
@@ -390,6 +399,8 @@ def _csv_cell(value) -> str:
 
 def _packed(texts: list[bytes]) -> np.ndarray:
     """Text matrix of the cells `texts`, each padded with _PAD."""
+    import numpy as np
+
     lengths = np.array(list(map(len, texts)), np.intp)
     width = int(lengths.max(initial=0))
     table = np.array(texts, dtype=f"S{max(width, 1)}").view(np.uint8)
@@ -405,6 +416,8 @@ def _cells(part, json_style: bool) -> np.ndarray:
     boolean arrays are spelled 0 and 1 in CSV.  A float chunk of at least
     _KERNEL_CELLS cells is spelled by `numtext`, the same text as value by
     value."""
+    import numpy as np
+
     if isinstance(part, np.ndarray) and part.dtype.kind == "f" and part.size >= _KERNEL_CELLS:
         from .numtext import number_cells
 
@@ -423,6 +436,8 @@ def _write_rows(fh, rows: int, pieces: list, trim: int = 0) -> None:
     between)`: text[i, j] holds cell j of row i, padded with _PAD.  Rows are
     put together in byte matrices of about _BLOCK_BYTES, and the padding
     dropped."""
+    import numpy as np
+
     widths = [len(p) if isinstance(p, bytes) else p[0].shape[1] * (p[0].shape[2] + len(p[1]))
               for p in pieces]
     step = max(_BLOCK_BYTES // max(sum(widths), 1), 1)
@@ -521,11 +536,18 @@ def _write_json_records(path: Path, columns: dict) -> None:
 
 
 def _parse_platoon(text: str) -> PlatoonSpec:
+    """PlatoonSpec of 'n,k': text that is not two integers, and a pair that
+    breaks one of PlatoonSpec's rules, are refused with their own message."""
+    from .graph import PlatoonSpec
+
     try:
-        n_str, k_str = text.split(",")
-        return PlatoonSpec(int(n_str), int(k_str))
+        n, k = map(int, text.split(","))
+    except ValueError:
+        raise ValidationFailure(f"--platoon expects 'n,k' integers, got {text!r}")
+    try:
+        return PlatoonSpec(n, k)
     except ValueError as exc:
-        raise ValidationFailure(f"--platoon expects 'n,k' integers: {exc}")
+        raise ValidationFailure(f"--platoon: {exc}")
 
 
 def _parse_range(text: str) -> list[int]:
@@ -573,6 +595,8 @@ def cmd_analyze(args) -> int:
         report = connectivity_report(g, limit=args.exhaustive_limit,
                                      require_robustness=args.robustness, require_iso=args.iso)
     except ExhaustiveLimitError as exc:
+        from .graph import platoon_spec
+
         print(f"error: {exc}", file=sys.stderr)
         if (spec := platoon_spec(g)) is not None:
             closed = knn_closed_forms(spec)
@@ -629,10 +653,14 @@ def load_estimation_scenario(path: str, seed_override: int | None = None):
 
 def scenario_x0(seed: int, n: int, low: float, high: float) -> np.ndarray:
     """Initial state derived from the scenario seed (stream [seed, 1])."""
+    import numpy as np
+
     return np.random.default_rng([seed, 1]).uniform(low, high, n)
 
 
 def cmd_estimate(args) -> int:
+    import numpy as np
+
     _bind("estimation")
     g, seed, scenario, observer, f = load_estimation_scenario(args.scenario, args.seed)
     config = {"scenario": args.scenario, "seed": seed}
@@ -668,6 +696,8 @@ def _build_strategy(kind: str, params: dict, vehicle: int, scenario_seed: int, p
     consensus class named after the strategy (seeded-random: SeededRandom)
     called with the params, checked against STRATEGY_SCHEMAS, as keyword
     arguments.  A ValueError of the class is reported at `path`."""
+    import numpy as np
+
     _validate_schema(params, STRATEGY_SCHEMAS[kind], "scenario", path)
     strategy = globals()[kind.title().replace("-", "")]
     if strategy is SeededRandom:  # per-adversary stream derived from the scenario seed
@@ -695,6 +725,8 @@ def load_consensus_scenario(path: str, seed_override: int | None = None):
 
 
 def cmd_consensus(args) -> int:
+    import numpy as np
+
     _bind("consensus")
     g, seed, adversaries, f, T, tol = load_consensus_scenario(args.scenario, args.seed)
     config = {"scenario": args.scenario, "seed": seed}
@@ -736,6 +768,8 @@ def _build_disturbance(system, cfg: dict, peak_frequency: float):
     """The disturbance of a formation config and its resolved form for the
     manifest.  "peak" is the closed form's peak_frequency, and where that is 0
     (static-gain branch) a step of amplitude cos(phase); a numeric 0 follows the formula."""
+    import numpy as np
+
     if cfg["kind"] == "none":
         return None, {"kind": "none"}
     vehicle = _vehicle(cfg.get("vehicle", 0), system.graph.n, "config", ("disturbance", "vehicle"))
@@ -760,6 +794,8 @@ def _build_disturbance(system, cfg: dict, peak_frequency: float):
 
 
 def cmd_formation(args) -> int:
+    import numpy as np
+
     _bind("formation")
     system, T, h, record_every, dist_cfg = load_formation_config(args.config)
     # refuses a graph without a closed form (lambda2 = 0) before simulating it
@@ -814,6 +850,8 @@ def cmd_formation(args) -> int:
 
 
 def cmd_sweep(args) -> int:
+    import numpy as np
+
     _bind("formation")
     n_values = _parse_range(args.n)
     k_values = _parse_range(args.k)

@@ -142,8 +142,40 @@ def test_analyze_bad_platoon_argument(capsys):
     assert main(["analyze", "--platoon", "10,0"]) == 2
     assert "k must satisfy" in capsys.readouterr().err
     assert main(["analyze", "--platoon", "65537,3"]) == 2
+    assert capsys.readouterr().err == "error: --platoon: platoon size must be at most 65536\n"
+
+
+@pytest.mark.parametrize("text, message", [
+    # text that is not two integers
+    ("5", "--platoon expects 'n,k' integers, got '5'"),
+    ("a,b", "--platoon expects 'n,k' integers, got 'a,b'"),
+    ("5,2,1", "--platoon expects 'n,k' integers, got '5,2,1'"),
+    ("5,2.0", "--platoon expects 'n,k' integers, got '5,2.0'"),
+    ("", "--platoon expects 'n,k' integers, got ''"),
+    # two integers that break a PlatoonSpec rule
+    ("5,9", "--platoon: neighbor range k must satisfy 1 <= k <= n-1, got k=9 for n=5"),
+    ("0,1", "--platoon: platoon size must be a positive integer, got 0"),
+])
+def test_analyze_platoon_error_names_its_cause(tmp_path, capsys, text, message):
+    out = tmp_path / "out"
+    assert main(["analyze", "--platoon", text, "--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("under_file", [False, True])
+def test_out_that_cannot_be_a_directory_exits_2(tmp_path, capsys, under_file):
+    # --out naming a file, or a path under one: one line, no traceback,
+    # and nothing written
+    blocker = tmp_path / "blocker"
+    blocker.write_text("keep\n")
+    out = blocker / "sub" if under_file else blocker
+    assert main(["analyze", "--platoon", "5,2", "--out", str(out)]) == 2
+    reason = "Not a directory" if under_file else "File exists"
     assert capsys.readouterr().err == (
-        "error: --platoon expects 'n,k' integers: platoon size must be at most 65536\n")
+        f"error: --out: cannot create directory ({reason}): {out}\n")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["blocker"]
+    assert blocker.read_text() == "keep\n"
 
 
 def test_analyze_refuses_large_exhaustive_with_fallback(tmp_path, capsys):
@@ -1264,29 +1296,41 @@ def test_cli_import_leaves_importlib_metadata_unloaded():
     assert fresh_python(code) == ["False False"]
 
 
-# a subcommand that writes a long numeric column also loads the writers' numtext
-@pytest.mark.parametrize("argv, own", [
-    (["analyze", "--platoon", "8,2"], ["connectivity"]),
-    (["estimate", "--scenario", str(SCENARIOS / "estimation-single-fault.json")], ["estimation"]),
-    (["consensus", "--scenario", str(SCENARIOS / "consensus-ramp-tolerated.json")],
-     ["consensus", "numtext"]),
-    (["formation", "--config", str(SCENARIOS / "formation-worst-case.json")],
-     ["formation", "numtext"]),
-    (["sweep", "--n", "5:8", "--k", "1:3", "--kp", "5", "--ku", "10"], ["formation"]),
-    (["--help"], []),
-    (["analyze", "--help"], []),
+SUBCOMMANDS = ("analyze", "estimate", "consensus", "formation", "sweep")
+
+
+# A run loads cli, graph and its own module, and numtext if it writes a long
+# numeric column; numpy.ma never.  --help and argparse's usage errors (exit
+# 2) load cli alone, and no numpy at all.
+@pytest.mark.parametrize("argv, code, loaded", [
+    (["analyze", "--platoon", "8,2"], 0, ["cli", "graph", "connectivity"]),
+    (["estimate", "--scenario", str(SCENARIOS / "estimation-single-fault.json")], 0,
+     ["cli", "graph", "estimation"]),
+    (["consensus", "--scenario", str(SCENARIOS / "consensus-ramp-tolerated.json")], 0,
+     ["cli", "graph", "consensus", "numtext"]),
+    (["formation", "--config", str(SCENARIOS / "formation-worst-case.json")], 0,
+     ["cli", "graph", "formation", "numtext"]),
+    (["sweep", "--n", "5:8", "--k", "1:3", "--kp", "5", "--ku", "10"], 0,
+     ["cli", "graph", "formation"]),
+    (["--help"], 0, ["cli"]),
+    *[([command, "--help"], 0, ["cli"]) for command in SUBCOMMANDS],
+    ([], 2, ["cli"]),
+    (["analyze", "--nope"], 2, ["cli"]),
+    (["sweep", "--n", "5", "--k", "1", "--kp", "x", "--ku", "1"], 2, ["cli"]),
 ])
-def test_each_subcommand_imports_only_its_own_module(tmp_path, argv, own):
-    code = ("import json, sys\n"
-            "from platoonnet import cli\n"
-            "try:\n"
-            f"    code = cli.main({argv!r})\n"
-            "except SystemExit as exc:\n"
-            "    code = exc.code\n"
-            "loaded = sorted(m.split('.')[1] for m in sys.modules if m.startswith('platoonnet.'))\n"
-            "print(json.dumps([code, loaded, 'numpy.ma' in sys.modules]), file=sys.stderr)")
-    assert json.loads(fresh_python(code, cwd=tmp_path)[-1]) == [0, sorted(["cli", "graph", *own]),
-                                                                False]
+def test_each_subcommand_imports_only_its_own_module(tmp_path, argv, code, loaded):
+    script = ("import json, sys\n"
+              "from platoonnet import cli\n"
+              "try:\n"
+              f"    code = cli.main({argv!r})\n"
+              "except SystemExit as exc:\n"
+              "    code = exc.code\n"
+              "loaded = sorted(m.split('.')[1] for m in sys.modules if m.startswith('platoonnet.'))\n"
+              "numpy = ['numpy' in sys.modules, 'numpy.ma' in sys.modules]\n"
+              "print(json.dumps([code, loaded, *numpy]), file=sys.stderr)")
+    numpy_loaded = loaded != ["cli"]
+    got = json.loads(fresh_python(script, cwd=tmp_path)[-1])
+    assert got == [code, sorted(loaded), numpy_loaded, False]
 
 
 def test_cli_calls_a_name_replaced_before_its_subcommand_runs(tmp_path):
@@ -1312,6 +1356,21 @@ def test_cli_calls_a_name_replaced_before_its_subcommand_runs(tmp_path):
     assert cli.__getattr__("run_wmsr") is importlib.import_module("platoonnet.consensus").run_wmsr
     with pytest.raises(AttributeError, match="no_such_name"):
         cli.__getattr__("no_such_name")
+
+
+def test_cli_calls_a_graph_name_replaced_before_its_subcommand_runs(tmp_path):
+    # graph's names are bound as lazily as a domain module's: the lookup loads
+    # graph alone, and the subcommand's own binding keeps the replacement
+    code = ("import sys\n"
+            "from platoonnet import cli\n"
+            "original = getattr(cli, 'build_knn_platoon')\n"
+            "print(sorted(m for m in sys.modules if m.startswith('platoonnet.')), file=sys.stderr)\n"
+            "calls = []\n"
+            "cli.build_knn_platoon = lambda spec: calls.append(spec) or original(spec)\n"
+            "code = cli.main(['analyze', '--platoon', '6,2'])\n"
+            "print(code, calls, file=sys.stderr)")
+    assert fresh_python(code, cwd=tmp_path) == [
+        "['platoonnet.cli', 'platoonnet.graph']", "0 [PlatoonSpec(n=6, k=2)]"]
 
 
 def test_package_exports_resolve_to_their_modules():
@@ -1393,8 +1452,7 @@ def test_cli_defines_no_name_it_binds_lazily():
         elif isinstance(node, (ast.Assign, ast.AnnAssign)):
             targets = node.targets if isinstance(node, ast.Assign) else [node.target]
             top |= {t.id for target in targets for t in ast.walk(target) if isinstance(t, ast.Name)}
-    exported = {name for module in ("connectivity", "consensus", "estimation", "formation")
-                for name in platoonnet._EXPORTS[module]}
+    exported = {name for names in platoonnet._EXPORTS.values() for name in names}
     assert "STRATEGY_PARAMS" in top and "run_wmsr" in exported
     assert sorted(top & exported) == []
 

@@ -115,6 +115,9 @@ def run_wmsr(
     checked against the safety hull, the previous step's normal [min, max]
     (violations are recorded, and impossible when the adversary set is
     f-local).
+
+    A scripted value that is not finite is refused with a ValueError before
+    the first step, and an average that overflows after the last one.
     """
     n = g.n
     f, T, x0 = _count("f", f, 0), _count("T", T, 0), _vector("x0", x0, n)
@@ -129,6 +132,10 @@ def run_wmsr(
     values[0] = x0
     for v, strat in strategy.items():
         values[:, v] = [strat.value(k) for k in range(T + 1)]
+    if not np.isfinite(values).all():  # x0 is finite, so a scripted value is not
+        step, v = np.argwhere(~np.isfinite(values))[0].tolist()
+        raise ValueError(f"adversary {v} broadcasts {float(values[step, v])!r} at step {step}; "
+                         "scripted values must be finite")
 
     # One W-MSR step for every normal vehicle at once.  Column r of nbr lists
     # the neighbours of normal[r], padded with index n, which reads NaN: it
@@ -150,19 +157,24 @@ def run_wmsr(
     layout = np.zeros(keep.shape)
     greater, ascending = layout[1 : width + 1], layout[width + 1 :]
     mask = keep.copy()
-    for k in range(T):
-        ext[:n] = values[k]
-        own = ext[rows]
-        ascending[...] = ext[nbr]
-        ascending.sort(axis=0)
-        greater[...] = ascending[::-1]
-        np.greater(greater, own, out=mask[1 : width + 1])
-        np.less(ascending, own, out=mask[width + 1 :])
-        mask &= keep
-        mask[width + 1 :] |= ascending == own
-        # .sum(axis=0) does not keep that order: 5 of 2000 random layouts differed bitwise
-        total = np.cumsum(np.where(mask, layout, 0.0), axis=0)[-1]
-        values[k + 1, rows] = (own + total) / mask.sum(axis=0)
+    with np.errstate(all="ignore"):  # an overflow is refused below, not warned about
+        for k in range(T):
+            ext[:n] = values[k]
+            own = ext[rows]
+            ascending[...] = ext[nbr]
+            ascending.sort(axis=0)
+            greater[...] = ascending[::-1]
+            np.greater(greater, own, out=mask[1 : width + 1])
+            np.less(ascending, own, out=mask[width + 1 :])
+            mask &= keep
+            mask[width + 1 :] |= ascending == own
+            # .sum(axis=0) does not keep that order: 5 of 2000 random layouts differed bitwise
+            total = np.cumsum(np.where(mask, layout, 0.0), axis=0)[-1]
+            values[k + 1, rows] = (own + total) / mask.sum(axis=0)
+    if not np.isfinite(values).all():  # a sum of values near the double range's end
+        step, v = np.argwhere(~np.isfinite(values))[0].tolist()
+        raise ValueError(f"vehicle {v} averages to {float(values[step, v])!r} at step {step}; "
+                         "x0 and the scripted values are too large")
 
     is_normal = np.isin(np.arange(n), rows)
     lo = values.min(axis=1, where=is_normal, initial=np.inf)

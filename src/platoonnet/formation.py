@@ -57,27 +57,13 @@ class FormationSystem:
     def __post_init__(self):
         _check_gains(self.kp, self.ku)
 
-    @cached_property
-    def lap(self) -> np.ndarray:
-        return laplacian(self.graph).astype(np.float64)
-
-    @cached_property
-    def a_mat(self) -> np.ndarray:
-        return _state_matrix(self.lap, self.kp, self.ku)
-
-    @cached_property
-    def c_mat(self) -> np.ndarray:
-        n, m = self.graph.n, self.graph.m
-        c = np.zeros((m, 2 * n))
-        c[:, :n] = incidence(self.graph).T
-        return c
-
-    @cached_property
+    @property
     def desired_spans(self) -> np.ndarray:
         """Desired (p_i - p_j) per canonical edge (i, j): d0 * (j - i)."""
-        return np.array([self.d0 * (j - i) for i, j in self.graph.edges])
+        i, j = _endpoints(self.graph)
+        return self.d0 * (j - i)
 
-    @cached_property
+    @property
     def equilibrium_state(self) -> np.ndarray:
         n = self.graph.n
         x = np.zeros(2 * n)
@@ -110,10 +96,18 @@ def hinf_closed_form(lambda2: float, kp: float, ku: float) -> tuple[float, str, 
         raise ValueError("lambda2 must be positive (connected graph) and finite")
     _check_gains(kp, ku)
     if lambda2 * ku * ku / (2.0 * kp) <= 1.0:
-        gain = 2.0 / (ku * lambda2 * math.sqrt(4.0 * kp - ku * ku * lambda2))
+        branch, num = BRANCH_UNDERDAMPED, 2.0
+        den = ku * lambda2 * math.sqrt(max(4.0 * kp - ku * ku * lambda2, 0.0))
         peak = math.sqrt(max(kp * lambda2 - 0.5 * ku * ku * lambda2 * lambda2, 0.0))
-        return gain, BRANCH_UNDERDAMPED, peak
-    return 1.0 / (kp * math.sqrt(lambda2)), BRANCH_STATIC, 0.0
+    else:
+        branch, num, den, peak = BRANCH_STATIC, 1.0, kp * math.sqrt(lambda2), 0.0
+    # past the double range den underflows to 0, or ku^2 overflows and the root's
+    # argument (positive on this branch in exact arithmetic) reads -inf
+    gain = num / den if den else math.inf
+    if not 0 < gain < math.inf:  # false for NaN
+        raise ValueError(f"the worst-case gain ({branch} branch) for kp={kp!r}, ku={ku!r} "
+                         f"and lambda2={lambda2!r} is outside the double range")
+    return gain, branch, peak
 
 
 @dataclass(frozen=True)
@@ -172,14 +166,16 @@ def hinf_sweep(system: FormationSystem, output: np.ndarray | None = None) -> Swe
     axis within rounding), and raises RuntimeError if neither happens
     within the iteration cap.  `grid_points` counts sigma_max evaluations.
     """
-    n = system.graph.n
-    out = system.c_mat if output is None else output
-    q = _translation_free_basis(system.graph)
+    g, n = system.graph, system.graph.n
+    if output is None:  # [B^T, 0]: the per-edge position differences
+        output = np.zeros((g.m, 2 * n))
+        output[:, :n] = incidence(g).T
+    q = _translation_free_basis(g)
     r = q.shape[1]
-    c = np.hstack([out[:, :n] @ q, out[:, n:] @ q])
+    c = np.hstack([output[:, :n] @ q, output[:, n:] @ q])
     if not c.any():  # no edges, or an output that sees nothing
         return SweepResult(value=0.0, frequency=0.0, grid_points=0)
-    a = _state_matrix(q.T @ system.lap @ q, system.kp, system.ku)
+    a = _state_matrix(q.T @ laplacian(g) @ q, system.kp, system.ku)
     b = np.zeros((2 * r, n))
     b[r:] = q.T
 
@@ -192,7 +188,8 @@ def hinf_sweep(system: FormationSystem, output: np.ndarray | None = None) -> Swe
         return float(np.linalg.svd(c @ x, compute_uv=False)[0])
 
     poles = np.linalg.eigvals(a)
-    peak = abs(float(poles[np.argmax(np.abs(poles.imag / poles.real))].imag))
+    with np.errstate(divide="ignore", invalid="ignore"):  # a pole on the axis: inf or NaN
+        peak = abs(float(poles[np.argmax(np.abs(poles.imag / poles.real))].imag))
     best, freq = sigma_max(0.0), 0.0
     if peak > 0:
         value = sigma_max(peak)
@@ -279,7 +276,9 @@ def simulate_formation(
     sinusoid, so z = [x - x_eq, 1, sin wt, cos wt] obeys zdot = Z z (A x_eq
     + b = 0) and one sample follows from the previous one as
     z <- exp(Z h record_every) z.  There is no step-size limit and no
-    truncation error beyond rounding; h only sets the sampling grid.
+    truncation error beyond rounding; h only sets the sampling grid.  A
+    trajectory that is not finite (huge gains, x0, disturbance or frequency)
+    is refused with a ValueError.
     """
     n = system.graph.n
     if not (0 < h < math.inf and 0 < T < math.inf):  # false for NaN
@@ -291,7 +290,7 @@ def simulate_formation(
 
     size = 2 * n + 3
     z_mat = np.zeros((size, size))
-    z_mat[: 2 * n, : 2 * n] = system.a_mat
+    z_mat[: 2 * n, : 2 * n] = _state_matrix(laplacian(system.graph), system.kp, system.ku)
     for col, part in enumerate((w.constant, w.sine, w.cosine)):
         if part is not None:  # F routes w into the velocities
             z_mat[n : 2 * n, 2 * n + col] = _vector("disturbance parts", part, n)
@@ -305,18 +304,23 @@ def simulate_formation(
     z = np.empty((len(recorded), size))
     z[0, : 2 * n] = dev
     z[0, 2 * n :] = (1.0, 0.0, 1.0)
-    phi = _expm(z_mat * (h * record_every))
-    for s in range(1, full + 1):
-        z[s] = phi @ z[s - 1]
-    if rest:
-        z[-1] = _expm(z_mat * (h * rest)) @ z[full]
-    states = z[:, : 2 * n] + x_eq
-    pos, vel = states[:, :n], states[:, n:]
-    i, j = _endpoints(system.graph)
-    span_err = pos[:, i] - pos[:, j] - system.desired_spans
-    return FormationTrace(
-        t=np.array(recorded) * h, positions=pos, velocities=vel, span_errors=span_err
-    )
+    with np.errstate(all="ignore"):  # an overflow is refused below, not warned about
+        phi = _expm(z_mat * (h * record_every))
+        for s in range(1, full + 1):
+            z[s] = phi @ z[s - 1]
+        if rest:
+            z[-1] = _expm(z_mat * (h * rest)) @ z[full]
+        states = z[:, : 2 * n] + x_eq
+        pos, vel = states[:, :n], states[:, n:]
+        i, j = _endpoints(system.graph)
+        span_err = pos[:, i] - pos[:, j] - system.desired_spans
+    t = np.array(recorded) * h
+    finite = np.isfinite(states).all(axis=1) & np.isfinite(span_err).all(axis=1)
+    if not finite.all():
+        raise ValueError(f"the formation trajectory is not finite from t = "
+                         f"{float(t[finite.argmin()])!r}: the gains, x0 or the disturbance "
+                         "are too large")
+    return FormationTrace(t=t, positions=pos, velocities=vel, span_errors=span_err)
 
 
 @dataclass(frozen=True)

@@ -16,7 +16,7 @@ import numpy as np
 
 # Largest vertex count a Graph or PlatoonSpec takes: a huge n is refused
 # before any vertex-sized structure is built.  Below it the dense n x n
-# matrices (laplacian, the formation system) are not bounded: 32 GiB of int64
+# matrices (laplacian, the formation system) are not bounded: 32 GiB of float64
 # for one 2^16-vertex Laplacian.
 MAX_VERTICES = 1 << 16
 
@@ -206,10 +206,12 @@ def _endpoints(g: Graph) -> np.ndarray:
 
 
 def laplacian(g: Graph) -> np.ndarray:
-    """Graph Laplacian L = D - A (int64)."""
-    lap = np.diag(degrees(g))
+    """Graph Laplacian L = D - A (float64: every entry is an integer of at
+    most 2^16 in magnitude, exact in a double)."""
+    lap = np.zeros((g.n, g.n))
     i, j = _endpoints(g)
-    lap[i, j] = lap[j, i] = -1
+    lap[i, j] = lap[j, i] = -1.0
+    np.fill_diagonal(lap, degrees(g))
     return lap
 
 
@@ -222,7 +224,7 @@ def algebraic_connectivity(g: Graph) -> float:
     """
     if g.n < 2 or len(components(g)) > 1:
         return 0.0
-    w = np.linalg.eigvalsh(laplacian(g).astype(np.float64))
+    w = np.linalg.eigvalsh(laplacian(g))
     return float(w[1])
 
 
@@ -230,7 +232,7 @@ def incidence(g: Graph) -> np.ndarray:
     """Oriented incidence matrix, n x m, columns in canonical edge order.
 
     For edge (i, j) with i < j the head is the smaller index: +1 at row i,
-    -1 at row j.  Satisfies L = B @ B.T exactly in integer arithmetic.
+    -1 at row j.  Satisfies L = B @ B.T exactly.
     """
     b = np.zeros((g.n, g.m), dtype=np.int64)
     b[_endpoints(g), np.arange(g.m)] = [[1], [-1]]  # column e: +1 at i, -1 at j

@@ -23,7 +23,7 @@ from platoonnet.estimation import (
     observation_model,
 )
 from platoonnet.formation import FormationSystem, FormationTrace, SweepResult, hinf_closed_form
-from platoonnet.graph import Graph, degrees
+from platoonnet.graph import Graph, degrees, incidence, laplacian
 
 # Laplacian eigenvalues at or below this are a component's translation mode
 ZERO_MODE_TOL = 1e-9
@@ -230,7 +230,7 @@ def brute_force_vertex_connectivity(g: Graph) -> int:
 
 def lap_eigenvalues(system: FormationSystem) -> np.ndarray:
     """All Laplacian eigenvalues of the formation's graph, ascending."""
-    return np.linalg.eigvalsh(system.lap)
+    return np.linalg.eigvalsh(laplacian(system.graph))
 
 
 def delta(system: FormationSystem) -> np.ndarray:
@@ -245,6 +245,18 @@ def delta(system: FormationSystem) -> np.ndarray:
 def b_affine(system: FormationSystem) -> np.ndarray:
     """Affine term b = [0; kp Delta] of xdot = A x + b + F w."""
     return np.concatenate([np.zeros(system.graph.n), system.kp * delta(system)])
+
+
+def a_mat(system: FormationSystem) -> np.ndarray:
+    """State matrix A = [[0, I], [-kp L, -ku L]] of xdot = A x + b + F w."""
+    n, lap = system.graph.n, laplacian(system.graph)
+    return np.block([[np.zeros((n, n)), np.eye(n)], [-system.kp * lap, -system.ku * lap]])
+
+
+def c_mat(system: FormationSystem) -> np.ndarray:
+    """Output C = [B^T, 0]: y collects the per-edge position differences."""
+    bt = incidence(system.graph).T.astype(np.float64)
+    return np.hstack([bt, np.zeros_like(bt)])
 
 
 def f_mat(system: FormationSystem) -> np.ndarray:
@@ -275,7 +287,7 @@ def sqrt_laplacian_output(system: FormationSystem) -> np.ndarray:
     """Alternative output matrix [L^{1/2}, 0]: same gain at every frequency
     as the incidence-transpose output (L^{1/2} = V diag(sqrt(lambda)) V^T,
     with the zero eigenvalue clamped)."""
-    w, v = np.linalg.eigh(system.lap)
+    w, v = np.linalg.eigh(laplacian(system.graph))
     half = (v * np.sqrt(np.clip(w, 0.0, None))) @ v.T
     return np.hstack([half, np.zeros_like(half)])
 
@@ -286,7 +298,7 @@ def rk4_formation(system, disturbance=None, T=10.0, h=1e-3, x0=None, record_ever
     is O(h^4); h must keep h * max|pole| inside the RK4 stability region."""
     n = system.graph.n
     x = system.equilibrium_state.copy() if x0 is None else np.array(x0, dtype=np.float64)
-    a_mat, b_aff, f_in = system.a_mat, b_affine(system), f_mat(system)
+    a, b_aff, f_in = a_mat(system), b_affine(system), f_mat(system)
 
     def w_at(t):
         w = np.zeros(n)
@@ -300,7 +312,7 @@ def rk4_formation(system, disturbance=None, T=10.0, h=1e-3, x0=None, record_ever
         return w
 
     def deriv(t, state):
-        return a_mat @ state + b_aff + f_in @ w_at(t)
+        return a @ state + b_aff + f_in @ w_at(t)
 
     steps = int(round(T / h))
     times, states = [0.0], [x.copy()]
@@ -317,7 +329,7 @@ def rk4_formation(system, disturbance=None, T=10.0, h=1e-3, x0=None, record_ever
             states.append(x.copy())
     arr = np.array(states)
     pos, vel = arr[:, :n], arr[:, n:]
-    span_err = pos @ system.c_mat[:, :n].T - system.desired_spans
+    span_err = pos @ c_mat(system)[:, :n].T - system.desired_spans
     return FormationTrace(t=np.array(times), positions=pos, velocities=vel, span_errors=span_err)
 
 
@@ -327,12 +339,13 @@ def grid_hinf_sweep(system, output=None, n_log=2000, n_window=50, refine=True) -
     points within +-20% of each mode's analytic peak frequency, then a
     golden-section polish around the grid argmax.  A is singular at w = 0,
     so the static end is only approached from the 1e-3 rad/s grid floor."""
-    n2 = system.a_mat.shape[0]
-    out = system.c_mat if output is None else output
+    a_full = a_mat(system)
+    n2 = a_full.shape[0]
+    out = c_mat(system) if output is None else output
     f_in = f_mat(system)
 
     def sigma_max(w):
-        x = np.linalg.solve((1j * w) * np.eye(n2) - system.a_mat, f_in)
+        x = np.linalg.solve((1j * w) * np.eye(n2) - a_full, f_in)
         return float(np.linalg.svd(out @ x, compute_uv=False)[0])
 
     parts = [np.geomspace(1e-3, 1e3, n_log)]

@@ -937,6 +937,42 @@ def test_sweep_rejects_non_finite_gains(tmp_path, capsys, flag, value):
     assert list(tmp_path.iterdir()) == []
 
 
+NOT_FINITE = "the formation trajectory is not finite from t = "
+
+
+@pytest.mark.parametrize("argv, doc, message", [
+    (["formation", "--config"], {"kp": 1e300, "ku": 1e300, "disturbance": {"kind": "step"}},
+     NOT_FINITE),
+    (["formation", "--config"],
+     {"kp": 5, "ku": 10, "disturbance": {"kind": "sinusoid", "omega": 1e300}}, NOT_FINITE),
+    (["formation", "--config"],
+     {"kp": 5, "ku": 10, "disturbance": {"kind": "step", "amplitude": 1e308}}, NOT_FINITE),
+    (["formation", "--config"], {"kp": 1e-300, "ku": 1e-300},
+     "the worst-case gain (underdamped-peak branch) for kp=1e-300, ku=1e-300 and lambda2="),
+    (["consensus", "--scenario"],
+     {"f": 0, "T": 5, "seed": 1, "adversaries": [
+         {"vehicle": 0, "strategy": "ramp", "params": {"start": 0, "slope": 1e308}}]},
+     "adversary 0 broadcasts inf at step 2; scripted values must be finite"),
+    (["consensus", "--scenario"],
+     {"f": 0, "T": 5, "seed": 1, "adversaries": [
+         {"vehicle": v, "strategy": "constant", "params": {"value": 1.7e308}} for v in (0, 1)]},
+     "vehicle 2 averages to inf at step 1; x0 and the scripted values are too large"),
+    (["sweep", "--n", "4,6", "--k", "1,2", "--kp", "1e-300", "--ku", "1e-300"], None,
+     "the worst-case gain (underdamped-peak branch) for kp=1e-300, ku=1e-300 and lambda2="),
+])
+def test_values_past_the_double_range_are_refused(tmp_path, capsys, recwarn, argv, doc, message):
+    # P(6, 2) over T = 1: each run used to write NaN or inf, or raise a traceback
+    if doc is not None:
+        path = tmp_path / "input.json"
+        path.write_text(json.dumps({"graph": {"platoon": [6, 2]}, "T": 1, **doc}))
+        argv = [*argv, str(path)]
+    assert main([*argv, "--format", "json", "--out", str(tmp_path / "out")]) == 2
+    (line,) = capsys.readouterr().err.splitlines()
+    assert line.startswith(f"error: {message}")
+    assert [str(w.message) for w in recwarn] == []
+    assert not (tmp_path / "out").exists()
+
+
 # ----------------------------------------------------------------- outputs
 
 OUTPUT_RUNS = {

@@ -175,6 +175,30 @@ def test_run_wmsr_validation():
         run_wmsr(g, x0, [], f=1, T=-1)
 
 
+def test_run_wmsr_refuses_a_scripted_value_that_is_not_finite(recwarn):
+    # 1e308 + 1e308 overflows: the ramp reads inf from step 2 on
+    g = build_knn_platoon(PlatoonSpec(6, 2))
+    with pytest.raises(ValueError, match="^adversary 0 broadcasts inf at step 2; "):
+        run_wmsr(g, np.zeros(6), [Adversary(0, Ramp(0.0, 1e308))], f=0, T=5)
+    with pytest.raises(ValueError, match="^adversary 3 broadcasts nan at step 0; "):
+        run_wmsr(g, np.zeros(6), [Adversary(3, Constant(math.nan))], f=0, T=5)
+    assert [str(w.message) for w in recwarn] == []
+
+
+@pytest.mark.parametrize("x0, scripted, message", [
+    # vehicle 2 sums both adversaries' 1.7e308 (f = 0 keeps them)
+    (np.zeros(6), [1.7e308, 1.7e308], "^vehicle 2 averages to inf at step 1; "),
+    (np.zeros(6), [1.7e308, -1.7e308], "^vehicle 3 averages to -inf at step 2; "),
+    (np.full(6, 1.7e308), [], "^vehicle 0 averages to inf at step 1; "),
+])
+def test_run_wmsr_refuses_an_average_that_overflows(recwarn, x0, scripted, message):
+    g = build_knn_platoon(PlatoonSpec(6, 2))
+    advs = [Adversary(v, Constant(value)) for v, value in enumerate(scripted)]
+    with pytest.raises(ValueError, match=message):
+        run_wmsr(g, x0, advs, f=0, T=5)
+    assert [str(w.message) for w in recwarn] == []
+
+
 def test_converged_at_matches_tolerance():
     g = build_knn_platoon(PlatoonSpec(8, 3))
     x0 = np.random.default_rng(3).uniform(0, 10, 8)

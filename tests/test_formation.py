@@ -20,7 +20,9 @@ from platoonnet.connectivity import algebraic_connectivity
 from platoonnet.graph import Graph, PlatoonSpec, build_knn_platoon, incidence, laplacian
 
 from helpers import (
+    a_mat,
     b_affine,
+    c_mat,
     delta,
     f_mat,
     grid_hinf_sweep,
@@ -45,16 +47,17 @@ def make_system(n, k, kp=5.0, ku=10.0, d0=10.0):
 def test_state_matrices_have_block_structure():
     sys_ = make_system(5, 2, kp=3.0, ku=4.0)
     n = 5
-    lap = laplacian(sys_.graph).astype(float)
-    a = sys_.a_mat
+    lap = laplacian(sys_.graph)
+    a = formation._state_matrix(lap, 3.0, 4.0)
+    assert np.array_equal(a, a_mat(sys_))
     assert np.array_equal(a[:n, :n], np.zeros((n, n)))
     assert np.array_equal(a[:n, n:], np.eye(n))
     assert np.array_equal(a[n:, :n], -3.0 * lap)
     assert np.array_equal(a[n:, n:], -4.0 * lap)
     assert np.array_equal(f_mat(sys_)[n:], np.eye(n))
     assert np.array_equal(f_mat(sys_)[:n], np.zeros((n, n)))
-    assert np.array_equal(sys_.c_mat[:, :n], incidence(sys_.graph).T)
-    assert np.array_equal(sys_.c_mat[:, n:], np.zeros((sys_.graph.m, n)))
+    assert np.array_equal(c_mat(sys_)[:, :n], incidence(sys_.graph).T)
+    assert np.array_equal(c_mat(sys_)[:, n:], np.zeros((sys_.graph.m, n)))
     assert np.array_equal(b_affine(sys_)[:n], np.zeros(n))
 
 
@@ -82,6 +85,49 @@ def test_non_finite_gains_are_rejected(bad):
             build_formation(g, kp, ku)
         with pytest.raises(ValueError, match="finite and positive"):
             hinf_closed_form(1.0, kp, ku)
+
+
+def test_system_holds_no_matrix_after_a_run():
+    # P(12, 3) has m = 30 > 2n edges: no per-edge or n x n array stays behind
+    sys_ = make_system(12, 3)
+    simulate_formation(sys_, Disturbance(constant=np.ones(12)), T=1.0, h=0.1)
+    hinf_sweep(sys_)
+    assert sys_.lambda2 > 0
+    for name, value in vars(sys_).items():
+        assert np.size(value) <= 2 * sys_.graph.n, name
+
+
+@pytest.mark.parametrize("kp, ku, lam2", [
+    (1e-300, 1e-300, 1.0),  # underdamped: the denominator underflows to 0
+    (1e-300, 1e-300, 1e-10),
+    (1e-300, 1.0, 1e-20),  # static: 1 / (kp sqrt(lambda2)) overflows
+    (1e308, 1e-10, 10.0),  # underdamped: 4 kp overflows, the gain reads 0
+    (1e305, 2e154, 1e-4),  # underdamped: ku^2 overflows, 4 kp - ku^2 lambda2 reads -inf
+])
+def test_closed_form_refuses_a_gain_outside_the_double_range(kp, ku, lam2):
+    with pytest.raises(ValueError, match=r"worst-case gain \(.* branch\) for kp=.* is outside the double range"):
+        hinf_closed_form(lam2, kp, ku)
+
+
+@pytest.mark.parametrize("kp, ku, disturbance", [
+    (1e300, 1e300, Disturbance(constant=np.eye(6)[0])),
+    (5.0, 10.0, Disturbance(sine=np.eye(6)[0], omega=1e300)),
+    (5.0, 10.0, Disturbance(constant=1e308 * np.eye(6)[0])),
+])
+def test_simulation_refuses_a_trajectory_that_is_not_finite(recwarn, kp, ku, disturbance):
+    sys_ = make_system(6, 2, kp=kp, ku=ku)
+    with pytest.raises(ValueError, match="formation trajectory is not finite from t = "):
+        simulate_formation(sys_, disturbance, T=1.0, h=1e-3, record_every=10)
+    assert [str(w.message) for w in recwarn] == []
+
+
+def test_sweep_picks_the_peak_pole_without_warning(recwarn):
+    # with kp = ku = 1e300 a pole of the reduced system has a zero real part
+    for n, k in ((4, 1), (4, 2), (6, 1), (6, 2)):
+        sys_ = make_system(n, k, kp=1e300, ku=1e300)
+        want = hinf_closed_form(sys_.lambda2, sys_.kp, sys_.ku)[0]
+        assert abs(hinf_sweep(sys_).value - want) <= 1e-15 * want
+    assert [str(w.message) for w in recwarn] == []
 
 
 # ------------------------------------------------------------- closed form
@@ -364,7 +410,7 @@ def test_span_errors_equal_the_incidence_product_bitwise():
         push = Disturbance(constant=rng.normal(size=n), sine=rng.normal(size=n), omega=0.9)
         runs.append((sys_, simulate_formation(sys_, push, T=2.0, h=0.01, x0=x0)))
     for sys_, trace in runs:
-        want = trace.positions @ sys_.c_mat[:, :sys_.graph.n].T - sys_.desired_spans
+        want = trace.positions @ c_mat(sys_)[:, :sys_.graph.n].T - sys_.desired_spans
         assert trace.span_errors.tobytes() == want.tobytes(), sys_.graph.edges
 
 

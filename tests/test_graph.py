@@ -64,7 +64,8 @@ def test_matrix_views_agree_with_networkx():
         nxg.add_edges_from(g.edges)
         adj = nx.to_numpy_array(nxg, nodelist=range(g.n), dtype=np.int64)
         deg, lap = degrees(g), laplacian(g)
-        assert deg.dtype == lap.dtype == np.int64
+        assert deg.dtype == np.int64 and lap.dtype == np.float64
+        assert np.array_equal(lap, np.trunc(lap))  # integral entries, exact in a double
         assert np.array_equal(deg, adj.sum(axis=1))
         assert np.array_equal(lap, np.diag(adj.sum(axis=1)) - adj)
         assert [[g.has_edge(i, j) for j in range(g.n)] for i in range(g.n)] == (adj == 1).tolist()
@@ -90,7 +91,7 @@ def test_laplacian_is_incidence_gram():
         g = build_knn_platoon(PlatoonSpec(n, k))
         lap = laplacian(g)
         b = incidence(g)
-        assert lap.dtype == np.int64
+        assert lap.dtype == np.float64 and np.array_equal(lap, np.trunc(lap))
         assert np.array_equal(lap, b @ b.T)
         assert np.array_equal(lap, lap.T)
         assert np.array_equal(lap.sum(axis=1), np.zeros(n, dtype=np.int64))

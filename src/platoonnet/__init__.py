@@ -6,8 +6,8 @@ double-integrator formation control with worst-case disturbance gains.
 
 The public names below are imported from their submodule on first access
 (PEP 562), so `import platoonnet` loads none of the submodules, and
-`platoonnet.run_wmsr` loads `platoonnet.consensus` and the `graph` module
-it builds on, nothing else.
+`platoonnet.run_wmsr` loads `platoonnet.consensus` and the `graph` and
+`stream` modules it builds on, nothing else.
 """
 
 from importlib import import_module

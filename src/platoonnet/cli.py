@@ -310,10 +310,16 @@ def _scenario_seed(data: dict, seed_override: int | None) -> int:
 
 
 def _config_hash(config: dict) -> str:
-    import hashlib  # here, not at the top: --help and refusals never hash
-
+    # the interpreter's own SHA-256 (_sha2 since Python 3.12, _sha256 before),
+    # not hashlib's OpenSSL one; imported here: --help and refusals never hash
+    for module in ("_sha2", "_sha256", "hashlib"):
+        try:
+            sha256 = import_module(module).sha256
+            break
+        except ImportError:
+            pass
     blob = json.dumps(config, sort_keys=True, separators=(",", ":")).encode("utf-8")
-    return hashlib.sha256(blob).hexdigest()[:12]
+    return sha256(blob).hexdigest()[:12]
 
 
 def _versions() -> dict:
@@ -652,10 +658,13 @@ def load_estimation_scenario(path: str, seed_override: int | None = None):
 
 
 def scenario_x0(seed: int, n: int, low: float, high: float) -> np.ndarray:
-    """Initial state derived from the scenario seed (stream [seed, 1])."""
+    """Initial state derived from the scenario seed: numpy's
+    default_rng([seed, 1]).uniform(low, high, n), drawn by `stream`."""
     import numpy as np
 
-    return np.random.default_rng([seed, 1]).uniform(low, high, n)
+    from .stream import uniform
+
+    return np.array(uniform([seed, 1], low, high, n))
 
 
 def cmd_estimate(args) -> int:
@@ -696,13 +705,12 @@ def _build_strategy(kind: str, params: dict, vehicle: int, scenario_seed: int, p
     consensus class named after the strategy (seeded-random: SeededRandom)
     called with the params, checked against STRATEGY_SCHEMAS, as keyword
     arguments.  A ValueError of the class is reported at `path`."""
-    import numpy as np
+    from .stream import generate_state
 
     _validate_schema(params, STRATEGY_SCHEMAS[kind], "scenario", path)
     strategy = globals()[kind.title().replace("-", "")]
     if strategy is SeededRandom:  # per-adversary stream derived from the scenario seed
-        seed = np.random.SeedSequence((scenario_seed, 2, vehicle)).generate_state(1)[0]
-        params = {**params, "seed": int(seed)}
+        params = {**params, "seed": generate_state((scenario_seed, 2, vehicle), 1)[0]}
     try:
         return strategy(**params)
     except ValueError as exc:

@@ -14,6 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .graph import Graph, _count, _distinct, _vector, _vertex, neighbors
+from .stream import uniform
 
 
 class Constant:
@@ -48,19 +49,23 @@ class Sinusoid:
 
 
 class SeededRandom:
-    """Uniform draws in [low, high]; value(step) is a pure function of
-    (seed, step), so traces are reproducible and randomly accessible."""
+    """Uniform draws in [low, high]: value(step) is numpy's
+    default_rng((seed, step)).uniform(low, high), reproduced bit for bit by
+    `stream`, so traces are reproducible and randomly accessible.  A range
+    whose width high - low is not a finite double is refused."""
 
     def __init__(self, low: float, high: float, seed: int):
         if low > high:
             raise ValueError(f"low {low} is above high {high}")
         self.low = float(low)
         self.high = float(high)
+        if not math.isfinite(self.high - self.low):
+            raise ValueError(f"the width high - low of the range from {low} to {high} "
+                             f"is {self.high - self.low}, not a finite number")
         self.seed = _count("seed", seed, 0)
 
     def value(self, step: int) -> float:
-        rng = np.random.default_rng((self.seed, step))
-        return float(rng.uniform(self.low, self.high))
+        return uniform((self.seed, step), self.low, self.high)
 
 
 @dataclass(frozen=True)

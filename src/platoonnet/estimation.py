@@ -18,6 +18,7 @@ import numpy as np
 
 from .graph import (Graph, _count, _distinct, _endpoints, _is_int, _vector, _vehicle_id, _vertex,
                     neighbors)
+from .stream import uniform
 
 
 class ModelMismatchError(RuntimeError):
@@ -53,11 +54,12 @@ def random_weights(g: Graph, seed: int) -> WeightMatrix:
     """Draw i.i.d. uniform [0.2, 1.0] entries on the support, row-major.
 
     Deterministic for a given seed: row i fills positions sorted({i} ∪ N(i))
-    in increasing column order from numpy's default_rng(seed).
+    in increasing column order from numpy's default_rng(seed) stream,
+    reproduced bit for bit by `stream.uniform`.
     """
     rows, cols = np.nonzero(_support(g))
     w = np.zeros((g.n, g.n))
-    w[rows, cols] = np.random.default_rng(_count("seed", seed, 0)).uniform(0.2, 1.0, rows.size)
+    w[rows, cols] = uniform(_count("seed", seed, 0), 0.2, 1.0, rows.size)
     return WeightMatrix(g, w)
 
 

@@ -1,5 +1,6 @@
 import ast
 import csv
+import hashlib
 import importlib
 import json
 import math
@@ -542,6 +543,28 @@ def test_seeded_random_low_above_high_names_its_pointer(tmp_path, capsys):
     assert capsys.readouterr().err == (
         "error: scenario: invalid at /adversaries/1/params: low 12.0 is above high -3.0\n")
     assert not (tmp_path / "out").exists()
+
+
+def test_seeded_random_range_past_the_doubles_names_its_pointer(tmp_path, capsys):
+    # a width high - low that overflows is refused while the scenario is read,
+    # not raised from the first draw
+    doc = {"graph": {"platoon": [6, 2]}, "seed": 3, "f": 1, "T": 20, "adversaries": [
+        {"vehicle": 1, "strategy": "constant", "params": {"value": 1.0}},
+        {"vehicle": 4, "strategy": "seeded-random", "params": {"low": -1e308, "high": 1e308}}]}
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps(doc))
+    assert main(["consensus", "--scenario", str(path), "--out", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err == (
+        "error: scenario: invalid at /adversaries/1/params: the width high - low of the range "
+        "from -1e+308 to 1e+308 is inf, not a finite number\n")
+    assert not (tmp_path / "out").exists()
+
+
+def test_config_hash_is_sha256():
+    # the interpreter's built-in SHA-256 names the files as hashlib's did
+    for config in ({}, {"scenario": "s.json", "seed": 7}, {"n": [4, 12], "kp": 5.0, "name": "é"}):
+        blob = json.dumps(config, sort_keys=True, separators=(",", ":")).encode("utf-8")
+        assert cli._config_hash(config) == hashlib.sha256(blob).hexdigest()[:12]
 
 
 def test_scenario_graph_variants(tmp_path):
@@ -1312,18 +1335,22 @@ def test_cli_help_and_analyze_leave_numtext_unloaded(tmp_path):
 
 
 def test_cli_help_and_refusal_leave_hashlib_unloaded(tmp_path):
-    # only a run that writes files hashes its config: --help and a refused
-    # run (exit 3) do not load hashlib and its OpenSSL backend
+    # only a run that writes files hashes its config, with the interpreter's
+    # own SHA-256 module: --help and a refused run (exit 3) load none, and no
+    # run loads hashlib and its OpenSSL backend
     out = ["--out", str(tmp_path)]
     code = ("import sys, platoonnet.cli as cli\n"
+            "def loaded():\n"
+            "    return [m for m in ('_sha2', '_sha256', 'hashlib', '_hashlib') if m in sys.modules]\n"
             "try:\n    cli.main(['--help'])\nexcept SystemExit:\n    pass\n"
-            "print('hashlib' in sys.modules, file=sys.stderr)\n"
+            "print(loaded(), file=sys.stderr)\n"
             f"codes = [cli.main(['analyze', '--platoon', '30,3', '--robustness', *{out!r}])]\n"
-            "print(codes, 'hashlib' in sys.modules, file=sys.stderr)\n"
+            "print(codes, loaded(), file=sys.stderr)\n"
             f"codes.append(cli.main(['analyze', '--platoon', '8,2', *{out!r}]))\n"
-            "print(codes, 'hashlib' in sys.modules, file=sys.stderr)")
+            "print(codes, loaded(), file=sys.stderr)")
+    sha = "_sha2" if sys.version_info >= (3, 12) else "_sha256"
     lines = fresh_python(code)
-    assert [lines[0], *lines[-2:]] == ["False", "[3] False", "[3, 0] True"]
+    assert [lines[0], *lines[-2:]] == ["[]", "[3] []", f"[3, 0] [{sha!r}]"]
 
 
 def test_cli_import_leaves_importlib_metadata_unloaded():
@@ -1335,15 +1362,16 @@ def test_cli_import_leaves_importlib_metadata_unloaded():
 SUBCOMMANDS = ("analyze", "estimate", "consensus", "formation", "sweep")
 
 
-# A run loads cli, graph and its own module, and numtext if it writes a long
-# numeric column; numpy.ma never.  --help and argparse's usage errors (exit
-# 2) load cli alone, and no numpy at all.
+# A run loads cli, graph and its own module, `stream` if it draws from a
+# seeded stream, and numtext if it writes a long numeric column; numpy.ma,
+# numpy.random and OpenSSL's hashlib never.  --help and argparse's usage
+# errors (exit 2) load cli alone, and no numpy at all.
 @pytest.mark.parametrize("argv, code, loaded", [
     (["analyze", "--platoon", "8,2"], 0, ["cli", "graph", "connectivity"]),
     (["estimate", "--scenario", str(SCENARIOS / "estimation-single-fault.json")], 0,
-     ["cli", "graph", "estimation"]),
+     ["cli", "graph", "estimation", "stream"]),
     (["consensus", "--scenario", str(SCENARIOS / "consensus-ramp-tolerated.json")], 0,
-     ["cli", "graph", "consensus", "numtext"]),
+     ["cli", "graph", "consensus", "numtext", "stream"]),
     (["formation", "--config", str(SCENARIOS / "formation-worst-case.json")], 0,
      ["cli", "graph", "formation", "numtext"]),
     (["sweep", "--n", "5:8", "--k", "1:3", "--kp", "5", "--ku", "10"], 0,
@@ -1363,10 +1391,11 @@ def test_each_subcommand_imports_only_its_own_module(tmp_path, argv, code, loade
               "    code = exc.code\n"
               "loaded = sorted(m.split('.')[1] for m in sys.modules if m.startswith('platoonnet.'))\n"
               "numpy = ['numpy' in sys.modules, 'numpy.ma' in sys.modules]\n"
-              "print(json.dumps([code, loaded, *numpy]), file=sys.stderr)")
+              "unwanted = [m for m in ('numpy.random', 'hashlib', '_hashlib', 'secrets') if m in sys.modules]\n"
+              "print(json.dumps([code, loaded, *numpy, unwanted]), file=sys.stderr)")
     numpy_loaded = loaded != ["cli"]
     got = json.loads(fresh_python(script, cwd=tmp_path)[-1])
-    assert got == [code, sorted(loaded), numpy_loaded, False]
+    assert got == [code, sorted(loaded), numpy_loaded, False, []]
 
 
 def test_cli_calls_a_name_replaced_before_its_subcommand_runs(tmp_path):
@@ -1418,7 +1447,7 @@ def test_package_exports_resolve_to_their_modules():
         "print(sorted(m for m in sys.modules if m.startswith('platoonnet.')), file=sys.stderr)\n"
         "platoonnet.run_wmsr\n"
         "print(sorted(m for m in sys.modules if m.startswith('platoonnet.')), file=sys.stderr)"
-    ) == ["True", "[]", "['platoonnet.consensus', 'platoonnet.graph']"]
+    ) == ["True", "[]", "['platoonnet.consensus', 'platoonnet.graph', 'platoonnet.stream']"]
     for name in platoonnet.__all__:
         obj = getattr(platoonnet, name)
         assert obj.__module__.startswith("platoonnet.")

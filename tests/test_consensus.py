@@ -1,4 +1,5 @@
 import math
+import re
 from pathlib import Path
 
 import numpy as np
@@ -109,6 +110,16 @@ def test_seeded_random_refuses_an_empty_range():
     with pytest.raises(ValueError, match="low 12.0 is above high -3.0"):
         SeededRandom(12.0, -3.0, seed=5)
     assert SeededRandom(4.5, 4.5, seed=5).value(3) == 4.5  # a point range stays legal
+
+
+@pytest.mark.parametrize("low, high, width", [(-1e308, 1e308, "inf"), (-math.inf, 0.0, "inf"),
+                                              (math.inf, math.inf, "nan"), (0.0, math.nan, "nan")])
+def test_seeded_random_refuses_a_range_whose_width_is_not_finite(low, high, width):
+    # high - low is the stream's scale: numpy's uniform raised OverflowError on it
+    message = f"the width high - low of the range from {low} to {high} is {width}, not a finite number"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        SeededRandom(low, high, seed=5)
+    assert SeededRandom(-1e307, 1e307, seed=5).value(0) <= 1e307  # the widest ranges stay legal
 
 
 # ------------------------------------------------------------------- runs

@@ -10,6 +10,7 @@ every adversary strategy, checked against the schema generated for it.
 
 import copy
 import json
+import math
 import random
 from pathlib import Path
 
@@ -176,8 +177,8 @@ def test_checker_matches_jsonschema_on_mutated_scenarios():
 def test_strategy_params_checker_matches_jsonschema():
     # the params schemas are generated from STRATEGY_PARAMS and applied by
     # _build_strategy at the adversary's params pointer; past the schema, the
-    # one rule it cannot state (seeded-random's low <= high) is reported at
-    # the params pointer itself
+    # two rules it cannot state (seeded-random's low <= high, and a finite
+    # width high - low) are reported at the params pointer itself
     jsonschema = pytest.importorskip("jsonschema")
     cli._bind("consensus")
     rng = random.Random(20240602)
@@ -192,7 +193,8 @@ def test_strategy_params_checker_matches_jsonschema():
         for _ in range(rng.choice([0, 1, 1, 2, 3])):
             doc = mutate(doc, rng)
         want = oracle_pointer(jsonschema.Draft202012Validator(schema), doc)
-        if want is None and kind == "seeded-random" and doc["low"] > doc["high"]:
+        if want is None and kind == "seeded-random" and not (
+                doc["low"] <= doc["high"] and math.isfinite(doc["high"] - doc["low"])):
             want = "/"
         got = None
         try:

@@ -35,9 +35,11 @@ def _bind(module: str) -> None:
     """Import platoonnet.<module> and bind the names the package exports from
     it, and from `graph`, which every domain module builds on, as globals
     here, where the subcommands look them up, keeping any name already bound
-    (a replaced name stays replaced).  A subcommand binds its domain module
-    when it first runs, as does an outside lookup of one of its names such
-    as `cli.run_wmsr`, so a job loads only its own code."""
+    (a replaced name stays replaced).  Each subcommand binds its domain module
+    once, before its first lookup: `analyze` and `sweep` first thing, and
+    `estimate`, `consensus` and `formation` in their loaders.  An outside
+    lookup of one of its names such as `cli.run_wmsr` binds it too, so a job
+    loads only its own code."""
     for source in dict.fromkeys(("graph", module)):
         mod = import_module(f"{__package__}.{source}")
         for name in _EXPORTS[source]:
@@ -78,87 +80,85 @@ STRATEGY_SCHEMAS = {
     for kind, names in STRATEGY_PARAMS.items()
 }
 
-ESTIMATE_SCHEMA = {
-    "type": "object",
-    "properties": {
-        "graph": _GRAPH_SPEC_SCHEMA,
-        "seed": {"type": "integer", "minimum": 0},
-        "faulty": {"type": "array", "items": {"type": "integer"}},
-        "phi": {
-            "type": "array",
-            "items": {
-                "type": "array",
-                "prefixItems": [
-                    {"type": "integer"},
-                    {"type": "integer"},
-                    {"type": "number"},
-                ],
-                "minItems": 3,
-                "maxItems": 3,
-            },
-        },
-        "observer": {"type": "integer", "minimum": 0},
-        "f": {"type": "integer", "minimum": 0},
-        "horizon": {"type": "integer", "minimum": 1},
-    },
-    "required": ["graph", "seed", "faulty", "phi", "observer", "f"],
-    "additionalProperties": False,
-}
 
-CONSENSUS_SCHEMA = {
-    "type": "object",
-    "properties": {
-        "graph": _GRAPH_SPEC_SCHEMA,
-        "seed": {"type": "integer", "minimum": 0},
-        "adversaries": {
-            "type": "array",
-            "items": {
-                "type": "object",
-                "properties": {
-                    "vehicle": {"type": "integer", "minimum": 0},
-                    "strategy": {"enum": list(STRATEGY_PARAMS)},
-                    "params": {"type": "object"},
-                },
-                "required": ["vehicle", "strategy"],
-                "additionalProperties": False,
-            },
-        },
-        "f": {"type": "integer", "minimum": 0},
-        "T": {"type": "integer", "minimum": 1},
-        "tol": {"type": "number", "exclusiveMinimum": 0},
-    },
-    "required": ["graph", "seed", "adversaries", "f"],
-    "additionalProperties": False,
-}
+def _document(required, **properties) -> dict:
+    """The schema of a scenario or config: an object of the given properties
+    after `graph`, with no other keys, that needs `graph` and the `required`
+    keys, in that order (a document missing several is reported at the first)."""
+    return {
+        "type": "object",
+        "properties": {"graph": _GRAPH_SPEC_SCHEMA, **properties},
+        "required": ["graph", *required],
+        "additionalProperties": False,
+    }
 
-FORMATION_SCHEMA = {
-    "type": "object",
-    "properties": {
-        "graph": _GRAPH_SPEC_SCHEMA,
-        "kp": {"type": "number", "exclusiveMinimum": 0},
-        "ku": {"type": "number", "exclusiveMinimum": 0},
-        "d0": {"type": "number", "exclusiveMinimum": 0},
-        "T": {"type": "number", "exclusiveMinimum": 0},
-        "h": {"type": "number", "exclusiveMinimum": 0},
-        "record_every": {"type": "integer", "minimum": 1},
-        "disturbance": {
+
+ESTIMATE_SCHEMA = _document(
+    ["seed", "faulty", "phi", "observer", "f"],
+    seed={"type": "integer", "minimum": 0},
+    faulty={"type": "array", "items": {"type": "integer"}},
+    phi={
+        "type": "array",
+        "items": {
+            "type": "array",
+            "prefixItems": [
+                {"type": "integer"},
+                {"type": "integer"},
+                {"type": "number"},
+            ],
+            "minItems": 3,
+            "maxItems": 3,
+        },
+    },
+    observer={"type": "integer", "minimum": 0},
+    f={"type": "integer", "minimum": 0},
+    horizon={"type": "integer", "minimum": 1},
+)
+
+CONSENSUS_SCHEMA = _document(
+    ["seed", "adversaries", "f"],
+    seed={"type": "integer", "minimum": 0},
+    adversaries={
+        "type": "array",
+        "items": {
             "type": "object",
             "properties": {
-                "kind": {"enum": ["none", "step", "sinusoid"]},
                 "vehicle": {"type": "integer", "minimum": 0},
-                "amplitude": {"type": "number"},
-                "omega": {
-                    "oneOf": [{"type": "number", "minimum": 0}, {"const": "peak"}]
-                },
-                "phase": {"type": "number"},
+                "strategy": {"enum": list(STRATEGY_PARAMS)},
+                "params": {"type": "object"},
             },
-            "required": ["kind"],
+            "required": ["vehicle", "strategy"],
             "additionalProperties": False,
         },
     },
-    "required": ["graph", "kp", "ku"],
-    "additionalProperties": False,
-}
+    f={"type": "integer", "minimum": 0},
+    T={"type": "integer", "minimum": 1},
+    tol={"type": "number", "exclusiveMinimum": 0},
+)
+
+FORMATION_SCHEMA = _document(
+    ["kp", "ku"],
+    kp={"type": "number", "exclusiveMinimum": 0},
+    ku={"type": "number", "exclusiveMinimum": 0},
+    d0={"type": "number", "exclusiveMinimum": 0},
+    T={"type": "number", "exclusiveMinimum": 0},
+    h={"type": "number", "exclusiveMinimum": 0},
+    record_every={"type": "integer", "minimum": 1},
+    disturbance={
+        "type": "object",
+        "properties": {
+            "kind": {"enum": ["none", "step", "sinusoid"]},
+            "vehicle": {"type": "integer", "minimum": 0},
+            "amplitude": {"type": "number"},
+            "omega": {
+                "oneOf": [{"type": "number", "minimum": 0}, {"const": "peak"}]
+            },
+            "phase": {"type": "number"},
+        },
+        "required": ["kind"],
+        "additionalProperties": False,
+    },
+)
 
 
 def _is_number(value) -> bool:
@@ -670,7 +670,6 @@ def scenario_x0(seed: int, n: int, low: float, high: float) -> np.ndarray:
 def cmd_estimate(args) -> int:
     import numpy as np
 
-    _bind("estimation")
     g, seed, scenario, observer, f = load_estimation_scenario(args.scenario, args.seed)
     config = {"scenario": args.scenario, "seed": seed}
     weights = random_weights(g, seed)
@@ -735,7 +734,6 @@ def load_consensus_scenario(path: str, seed_override: int | None = None):
 def cmd_consensus(args) -> int:
     import numpy as np
 
-    _bind("consensus")
     g, seed, adversaries, f, T, tol = load_consensus_scenario(args.scenario, args.seed)
     config = {"scenario": args.scenario, "seed": seed}
     x0 = scenario_x0(seed, g.n, 0.0, 10.0)
@@ -804,7 +802,6 @@ def _build_disturbance(system, cfg: dict, peak_frequency: float):
 def cmd_formation(args) -> int:
     import numpy as np
 
-    _bind("formation")
     system, T, h, record_every, dist_cfg = load_formation_config(args.config)
     # refuses a graph without a closed form (lambda2 = 0) before simulating it
     value, branch, peak_frequency = hinf_closed_form(system.lambda2, system.kp, system.ku)
@@ -884,7 +881,7 @@ def cmd_sweep(args) -> int:
 
     header = ["n", "k", "kp", "ku", "lambda2", "lb", "ub", "hinf", "branch"]
     table = [
-        (r.n, r.k, float(r.kp), float(r.ku), r.lambda2, r.lower, r.upper, r.hinf, r.branch)
+        (r.n, r.k, args.kp, args.ku, r.lambda2, r.lower, r.upper, r.hinf, r.branch)
         for r in rows
     ]
     columns = [np.array(col) for col in zip(*table)]

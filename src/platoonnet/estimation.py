@@ -89,20 +89,27 @@ class FaultScenario:
 
 def simulate_faulty(W: WeightMatrix, x0, scenario: FaultScenario) -> np.ndarray:
     """State trace x[0..horizon] under x[k+1] = W x[k] + A phi[k].  Every
-    faulty id must be a vehicle of W's graph."""
+    faulty id must be a vehicle of W's graph.  A trace that leaves the double
+    range is refused with a ValueError naming its first step that is not
+    finite, and numpy warns of nothing."""
     n = W.graph.n
     x0 = _vector("x0", x0, n)
     for v in scenario.faulty:
         _vertex(W.graph, v)
     states = np.zeros((scenario.horizon + 1, n))
     states[0] = x0
-    for k in range(scenario.horizon):
-        nxt = W.matrix @ states[k]
-        for v in scenario.faulty:
-            val = scenario.phi.get((v, k))
-            if val is not None:
-                nxt[v] = nxt[v] + val
-        states[k + 1] = nxt
+    with np.errstate(all="ignore"):  # an overflow is refused below, not warned about
+        for k in range(scenario.horizon):
+            nxt = W.matrix @ states[k]
+            for v in scenario.faulty:
+                val = scenario.phi.get((v, k))
+                if val is not None:
+                    nxt[v] = nxt[v] + val
+            states[k + 1] = nxt
+    finite = np.isfinite(states).all(axis=1)
+    if not finite.all():
+        raise ValueError(f"the state trace is not finite from step {int(finite.argmin())}: "
+                         "W, x0 or the fault signals are too large")
     return states
 
 
@@ -110,23 +117,19 @@ def packet_drop_scenario(
     W: WeightMatrix, x0, vehicle: int, horizon: int
 ) -> tuple[FaultScenario, np.ndarray]:
     """Forward-simulate a total packet loss at one vehicle, recording the
-    equivalent fault signal: the vehicle loses all its neighbours' packets,
-    as if vehicle i injected phi[k] = -sum_{j in N(i)} w_ij x_j[k].  Returns
-    (scenario, states); simulate_faulty on the returned scenario reproduces
-    the same states."""
-    n = W.graph.n
-    x0, horizon = _vector("x0", x0, n), _count("horizon", horizon, 1)
+    equivalent fault signal.  The vehicle loses all its neighbours' packets,
+    so it steps by its self-weight alone: simulate_faulty steps W with the
+    vehicle's neighbour weights zeroed.  The equivalent injection, read off
+    the states, is phi[k] = -sum_{j in N(i)} w_ij x_j[k].  Returns (scenario,
+    states); simulate_faulty of W on the returned scenario reproduces the
+    states up to rounding."""
     nbrs = neighbors(W.graph, vehicle)
-    states = np.zeros((horizon + 1, n))
-    states[0] = x0
-    phi: dict[tuple[int, int], float] = {}
-    for k in range(horizon):
-        val = float(-np.dot(W.matrix[vehicle, nbrs], states[k][nbrs]))
-        phi[(vehicle, k)] = val
-        nxt = W.matrix @ states[k]
-        nxt[vehicle] = nxt[vehicle] + val
-        states[k + 1] = nxt
-    return FaultScenario(faulty=(vehicle,), phi=phi, horizon=horizon), states
+    dropped = W.matrix.copy()
+    dropped[vehicle, nbrs] = 0.0
+    states = simulate_faulty(WeightMatrix(W.graph, dropped), x0, FaultScenario((), {}, horizon))
+    signal = -(states[:-1, nbrs] @ W.matrix[vehicle, nbrs])
+    phi = {(vehicle, k): value for k, value in enumerate(signal.tolist())}
+    return FaultScenario((vehicle,), phi, len(phi)), states
 
 
 def measured_rows(g: Graph, observer: int) -> list[int]:

@@ -327,8 +327,6 @@ def simulate_formation(
 class HinfGridRow:
     n: int
     k: int
-    kp: float
-    ku: float
     lambda2: float
     lower: float
     upper: float
@@ -352,8 +350,7 @@ def hinf_grid(pairs, kp: float, ku: float, spot_check=frozenset()) -> list[HinfG
         sweep_val = hinf_sweep(system).value if (n, k) in spot_check else None
         rows.append(
             HinfGridRow(
-                n=spec.n, k=spec.k, kp=float(kp), ku=float(ku),
-                lambda2=lam2, lower=lower, upper=upper,
+                n=spec.n, k=spec.k, lambda2=lam2, lower=lower, upper=upper,
                 hinf=value, branch=branch, sweep_value=sweep_val,
             )
         )

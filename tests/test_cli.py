@@ -996,6 +996,20 @@ def test_values_past_the_double_range_are_refused(tmp_path, capsys, recwarn, arg
     assert not (tmp_path / "out").exists()
 
 
+def test_estimate_past_the_double_range_is_refused(tmp_path, capsys, recwarn):
+    # rho(W) = 3.53 here: the trace leaves the doubles at step 564, and the
+    # recovery of 600 steps used to run for minutes on it
+    scenario = json.loads((SCENARIOS / "estimation-single-fault.json").read_text())
+    path = tmp_path / "input.json"
+    path.write_text(json.dumps({**scenario, "horizon": 600}))
+    assert main(["estimate", "--scenario", str(path), "--out", str(tmp_path / "out")]) == 2
+    (line,) = capsys.readouterr().err.splitlines()
+    assert line == ("error: the state trace is not finite from step 564: "
+                    "W, x0 or the fault signals are too large")
+    assert [str(w.message) for w in recwarn] == []
+    assert not (tmp_path / "out").exists()
+
+
 # ----------------------------------------------------------------- outputs
 
 OUTPUT_RUNS = {

@@ -133,6 +133,16 @@ def test_simulation_rejects_a_faulty_id_outside_the_graph():
             simulate_faulty(W, x0, scenario)
 
 
+def test_simulation_refuses_a_trace_past_the_double_range(recwarn):
+    # x[k] = 2^k on the diagonal: 2^1023 is the largest power of two a double holds
+    g = build_knn_platoon(PlatoonSpec(3, 1))
+    W = WeightMatrix(g, 2.0 * np.eye(3))
+    scenario = FaultScenario(faulty=(), phi={}, horizon=1100)
+    with pytest.raises(ValueError, match=r"^the state trace is not finite from step 1024: "):
+        simulate_faulty(W, np.ones(3), scenario)
+    assert [str(w.message) for w in recwarn] == []
+
+
 # ------------------------------------------------------------ observation
 
 
@@ -424,3 +434,12 @@ def test_packet_drop_equivalence_generic_weights():
     # self-weight only
     for k in range(10):
         assert abs(direct[k + 1, 6] - W.matrix[6, 6] * direct[k, 6]) <= 1e-12 * scale
+
+
+def test_packet_drop_vehicle_steps_by_its_self_weight_exactly():
+    # the stepped matrix keeps only w_vv in the dropped vehicle's row, so no
+    # neighbour term leaves a rounding residue in its state
+    for seed in range(1, 21):
+        _, W, x0 = make_setup(10, 3, seed)
+        _, states = packet_drop_scenario(W, x0, vehicle=6, horizon=10)
+        assert np.array_equal(states[1:, 6], W.matrix[6, 6] * states[:-1, 6])
